@@ -160,9 +160,9 @@ def test_eng2_lookahead_drives_epoch_count(benchmark, report, save_csv):
         assert result.epochs >= 1
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_eng2_backend_wall_time(benchmark, backend, report):
-    """Wall-time of the three execution backends (GIL caveat recorded)."""
+    """Wall-time of the two execution backends."""
 
     def run():
         psim = build_parallel(machine(), SIM_RANKS, strategy="bfs",
@@ -390,7 +390,7 @@ def _fabric_machine(psim, *, components=FABRIC_COMPONENTS, ticks=3,
 
     Every component self-schedules ``ticks`` compute windows; the first
     component of each rank additionally tokens the next rank over a
-    1 ms ring link each tick, so the shm exchange path carries real
+    1 ms ring link each tick, so the pipe exchange carries real
     cross-rank traffic while the conservative window stays wide.
     """
     from repro.core import Component, Event, Params
@@ -441,11 +441,10 @@ def _fabric_machine(psim, *, components=FABRIC_COMPONENTS, ticks=3,
 
 
 def test_eng2_parallel_fabric_speedup(benchmark, report):
-    """The PR 9 acceptance bench: an 8-rank ~1k-component fabric on the
-    processes backend with the shm transport and adaptive lookahead,
-    against the serial reference.
+    """An 8-rank ~1k-component fabric on the processes backend (pickled
+    batches over pipes, conservative sync) against the serial reference.
 
-    Records ``workload=parallel_fabric queue=shm`` into
+    Records ``workload=parallel_fabric queue=pipe`` into
     BENCH_engine_throughput.json so the CI parallel-speedup job can
     gate events/sec through check_throughput_regression.py
     (``--only parallel_fabric``).  The >= 3x speedup target is asserted
@@ -458,11 +457,10 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
 
     ROUNDS = 3
 
-    def run_backend(backend, **kwargs):
+    def run_backend(backend):
         stats, best = None, None
         for _ in range(ROUNDS):
-            psim = ParallelSimulation(FABRIC_RANKS, seed=5, backend=backend,
-                                      **kwargs)
+            psim = ParallelSimulation(FABRIC_RANKS, seed=5, backend=backend)
             _fabric_machine(psim)
             result = psim.run()
             assert result.reason == "exhausted"
@@ -474,8 +472,7 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
 
     def run():
         serial_stats, serial_result = run_backend("serial")
-        procs_stats, procs_result = run_backend(
-            "processes", transport="shm", sync="adaptive")
+        procs_stats, procs_result = run_backend("processes")
         assert procs_stats == serial_stats
         return serial_result, procs_result
 
@@ -493,9 +490,7 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
             "test": "eng2_parallel_fabric_speedup",
             "kind": "parallel_fabric_speedup",
             "workload": "parallel_fabric",
-            "queue": "shm",
-            "transport": "shm",
-            "sync": "adaptive",
+            "queue": "pipe",
             "ranks": FABRIC_RANKS,
             "components": FABRIC_COMPONENTS,
             "usable_cpus": cpus,
@@ -512,10 +507,10 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
         },
     )
     report(f"ENG-2 parallel fabric ({FABRIC_COMPONENTS} components, "
-           f"{FABRIC_RANKS} ranks, shm+adaptive): {speedup:.2f}x vs serial, "
+           f"{FABRIC_RANKS} ranks): {speedup:.2f}x vs serial, "
            f"{eps:,.0f} events/s ({cpus} usable CPUs)")
     if cpus >= FABRIC_RANKS:
         assert speedup >= 3.0, (
-            f"shm+adaptive fabric below the 3x target on a {cpus}-core "
+            f"parallel fabric below the 3x target on a {cpus}-core "
             f"host: {speedup:.2f}x"
         )

@@ -182,8 +182,6 @@ def _finish_observability(args, result, graph, telemetry, profiler, chrome,
             "ranks": args.ranks,
             "strategy": args.strategy,
             "backend": args.backend,
-            "transport": args.transport,
-            "sync": args.sync,
             "queue": args.queue,
             "seed": args.seed,
         }
@@ -221,8 +219,7 @@ def _cmd_run_impl(args: argparse.Namespace) -> int:
     if args.ranks > 1:
         psim = build_parallel(graph, args.ranks, strategy=args.strategy,
                               seed=args.seed, queue=args.queue,
-                              backend=args.backend,
-                              transport=args.transport, sync=args.sync)
+                              backend=args.backend)
         instruments = _make_observability(args, psim)
         result, code = _run_with_live(
             args, psim, instruments[0],
@@ -576,8 +573,7 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
         try:
             sim = restore(args.snapshot, backend=args.backend,
                           ranks=args.ranks, queue=args.queue,
-                          assignment=assignment,
-                          transport=args.transport, sync=args.sync)
+                          assignment=assignment)
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -709,18 +705,9 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", default="linear",
                      choices=["linear", "round_robin", "bfs", "kl"])
     run.add_argument("--backend", default="serial",
-                     choices=["serial", "threads", "processes"],
+                     choices=["serial", "processes"],
                      help="execution substrate for --ranks > 1 "
                           "(processes = one forked worker per rank)")
-    run.add_argument("--transport", default="pipe", choices=["pipe", "shm"],
-                     help="processes-backend data plane: pickled pipe "
-                          "batches, or shared-memory rings with the flat "
-                          "event codec (control stays on pipes)")
-    run.add_argument("--sync", default="conservative",
-                     choices=["conservative", "adaptive"],
-                     help="epoch-window strategy: fixed lookahead, or "
-                          "adaptive widening from per-rank earliest-send "
-                          "bounds (same deterministic exchange order)")
     run.add_argument("--queue", default="heap", choices=["heap", "binned"])
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--stats", action="store_true",
@@ -789,7 +776,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="instructions simulated per design point")
     swp.add_argument("--seed", type=int, default=1)
     swp.add_argument("--backend", default="serial",
-                     choices=["serial", "threads", "processes"],
+                     choices=["serial", "processes"],
                      help="job-pool substrate for evaluating points")
     swp.add_argument("--jobs", type=_positive_int, default=None,
                      help="pool width (default: usable CPU count)")
@@ -949,7 +936,7 @@ def make_parser() -> argparse.ArgumentParser:
                       help="restore onto this many ranks (default: the "
                            "snapshot's own layout)")
     cres.add_argument("--backend", default=None,
-                      choices=["serial", "threads", "processes"],
+                      choices=["serial", "processes"],
                       help="execution substrate (default: the "
                            "snapshot's)")
     cres.add_argument("--queue", default=None, choices=["heap", "binned"],
@@ -958,13 +945,6 @@ def make_parser() -> argparse.ArgumentParser:
                       help="component->rank assignment JSON (a "
                            "partition-advise advice file or a bare map); "
                            "forces a pinned repartition restore")
-    cres.add_argument("--transport", default="pipe",
-                      choices=["pipe", "shm"],
-                      help="processes-backend exchange transport "
-                           "(default: pipe)")
-    cres.add_argument("--sync", default="conservative",
-                      choices=["conservative", "adaptive"],
-                      help="epoch-window strategy (default: conservative)")
     cres.add_argument("--stats", action="store_true",
                       help="print final statistic values")
     cres.add_argument("--stats-json", default=None,

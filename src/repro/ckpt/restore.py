@@ -59,8 +59,6 @@ def restore(path: Union[str, Path], *,
             queue: Optional[str] = None,
             verbose: bool = False,
             assignment: Optional[Dict[str, int]] = None,
-            transport: str = "pipe",
-            sync: str = "conservative",
             ) -> Union[Simulation, ParallelSimulation]:
     """Rebuild a runnable engine from a snapshot directory.
 
@@ -95,8 +93,7 @@ def restore(path: Union[str, Path], *,
                 f"{max(assignment.values())} >= ranks {target_ranks}")
         return _restore_repartition(root, manifest, graph, target_ranks,
                                     backend=backend, queue=queue,
-                                    verbose=verbose, assignment=assignment,
-                                    transport=transport, sync=sync)
+                                    verbose=verbose, assignment=assignment)
     target_ranks = ranks if ranks is not None else manifest["num_ranks"]
     if target_ranks < 1:
         raise CheckpointError(f"ranks must be >= 1, got {target_ranks}")
@@ -105,11 +102,9 @@ def restore(path: Union[str, Path], *,
                                    verbose=verbose)
     if manifest["mode"] == "parallel" and target_ranks == manifest["num_ranks"]:
         return _restore_parallel_exact(root, manifest, graph, backend=backend,
-                                       queue=queue, verbose=verbose,
-                                       transport=transport, sync=sync)
+                                       queue=queue, verbose=verbose)
     return _restore_repartition(root, manifest, graph, target_ranks,
-                                backend=backend, queue=queue, verbose=verbose,
-                                transport=transport, sync=sync)
+                                backend=backend, queue=queue, verbose=verbose)
 
 
 def _rebuild_graph(manifest: Dict[str, Any]):
@@ -171,8 +166,7 @@ def _restore_sequential(root: Path, manifest: Dict[str, Any], graph, *,
 
 def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
                             backend: Optional[str], queue: Optional[str],
-                            verbose: bool, transport: str = "pipe",
-                            sync: str = "conservative") -> ParallelSimulation:
+                            verbose: bool) -> ParallelSimulation:
     from ..config.builder import build_parallel
     from ..config.serialize import from_dict
 
@@ -188,8 +182,7 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
         strategy=manifest["partition_strategy"] or "linear",
         seed=manifest["seed"], queue=queue or manifest["queue"],
         backend=backend or manifest["backend"] or "serial",
-        verbose=verbose, clock_arbiter=manifest["clock_arbiter"],
-        transport=transport, sync=sync)
+        verbose=verbose, clock_arbiter=manifest["clock_arbiter"])
     # Future snapshots of the restored engine must hash to the same
     # graph, so carry the *original* (unpinned) graph forward.
     psim.config_graph = graph
@@ -269,8 +262,6 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
                          target_ranks: int, *, backend: Optional[str],
                          queue: Optional[str], verbose: bool,
                          assignment: Optional[Dict[str, int]] = None,
-                         transport: str = "pipe",
-                         sync: str = "conservative",
                          ) -> Union[Simulation, ParallelSimulation]:
     """Restore onto a different rank count (stats-equivalent mode).
 
@@ -309,8 +300,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
             strategy=manifest["partition_strategy"] or "linear",
             seed=manifest["seed"], queue=queue_kind,
             backend=backend or manifest["backend"] or "serial",
-            verbose=verbose, clock_arbiter=manifest["clock_arbiter"],
-            transport=transport, sync=sync)
+            verbose=verbose, clock_arbiter=manifest["clock_arbiter"])
         sims = psim._sims
         psim.setup()
         for by_dest in psim._outboxes:

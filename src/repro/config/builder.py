@@ -159,9 +159,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
                    queue: str = "heap", backend: str = "serial",
                    verbose: bool = False,
                    clock_arbiter: Optional[bool] = None,
-                   validate_events: bool = False,
-                   transport: str = "pipe",
-                   sync: str = "conservative") -> ParallelSimulation:
+                   validate_events: bool = False) -> ParallelSimulation:
     """Partition ``graph`` across ``num_ranks`` and instantiate per rank.
 
     Components carrying a ``rank`` pin are honoured; the partitioner
@@ -169,10 +167,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
     strategy's assignment, so heavy pinning can unbalance ranks).
 
     ``backend`` selects the execution substrate (``serial`` /
-    ``threads`` / ``processes``), ``transport`` the processes-backend
-    data plane (``pipe`` / ``shm``) and ``sync`` the epoch-window
-    strategy (``conservative`` / ``adaptive``); all three are passed
-    straight through to
+    ``processes``) and is passed straight through to
     :class:`~repro.core.parallel.ParallelSimulation`.
     """
     graph.validate(resolve_types=True)
@@ -193,8 +188,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
 
     psim = ParallelSimulation(num_ranks, seed=seed, queue=queue,
                               backend=backend, verbose=verbose,
-                              clock_arbiter=clock_arbiter,
-                              transport=transport, sync=sync)
+                              clock_arbiter=clock_arbiter)
     psim.partition_strategy = strategy
     psim.config_graph = graph
     if validate_events:

@@ -2,16 +2,13 @@
 
 An :class:`ExecutionBackend` executes one conservative-sync epoch on
 every rank of a :class:`~repro.core.parallel.ParallelSimulation` and
-reports a :class:`RankStep` per rank.  Three substrates are provided:
+reports a :class:`RankStep` per rank.  Two substrates are provided:
 
 * :class:`SerialBackend`    — ranks step one after another in the
   calling thread.  Zero concurrency, 100% determinism; the reference
   backend used by the equivalence tests.
-* :class:`ThreadsBackend`   — ranks step concurrently in a thread pool.
-  Deterministic (the exchange is globally sorted), but the CPython GIL
-  means this demonstrates *protocol* scaling, not wall-clock scaling.
 * :class:`ProcessesBackend` — true multi-process PDES: one forked
-  worker per rank, exchanging serialized event batches over pipes.
+  worker per rank, exchanging pickled event batches over pipes.
   This is the backend that scales past the GIL.  Requirements and
   caveats:
 
@@ -47,8 +44,7 @@ import os
 import pickle
 import time as _wall_time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from .kernel import harvest_engine_stats, harvest_stats, kernel_step
@@ -164,8 +160,8 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
 def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
     """Run one rank's kernel window and package the result.
 
-    Wall time is measured inside the worker so concurrent backends see
-    true per-rank durations; the outbox is drained by the caller (it
+    Wall time is measured where the rank runs, so the processes backend
+    sees true per-rank durations; the outbox is drained by the caller (it
     lives on the ParallelSimulation, per source rank).
     """
     perf = _wall_time.perf_counter
@@ -192,7 +188,7 @@ class ExecutionBackend:
         self.psim = psim
 
     def start(self) -> None:
-        """Acquire execution resources (pools, workers).  Idempotent."""
+        """Acquire execution resources (workers).  Idempotent."""
 
     def initial_next_times(self) -> List[Optional[SimTime]]:
         """Per-rank earliest queued event before the first epoch."""
@@ -255,48 +251,6 @@ class SerialBackend(ExecutionBackend):
         return steps
 
 
-class ThreadsBackend(ExecutionBackend):
-    """Ranks step concurrently in a thread pool (protocol scaling only).
-
-    The CPython GIL serialises handler execution, so this demonstrates
-    the sync protocol rather than wall-clock speedup; epoch counts and
-    exchanged-event counts are identical to the serial backend.
-    """
-
-    name = "threads"
-
-    def __init__(self, psim: "ParallelSimulation"):
-        super().__init__(psim)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def start(self) -> None:
-        if self._pool is None and self.psim.num_ranks > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self.psim.num_ranks)
-
-    def step(self, epoch_end: SimTime,
-             deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        psim = self.psim
-        # Deliveries and outbox drains stay in the calling thread; only
-        # the kernel windows run concurrently.
-        for rank, entries in enumerate(deliveries):
-            if entries:
-                deliver_cross_rank(psim, rank, entries)
-        if self._pool is None:
-            steps = [_timed_step(sim, epoch_end) for sim in psim._sims]
-        else:
-            futures = [self._pool.submit(_timed_step, sim, epoch_end)
-                       for sim in psim._sims]
-            steps = [f.result() for f in futures]  # re-raise worker exceptions
-        for rank, result in enumerate(steps):
-            result.outbox = drain_outbox(psim, rank)
-        return steps
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def _send_msg(conn, msg: Any) -> None:
     """One pickled batch per pipe write (highest pickle protocol).
 
@@ -313,25 +267,13 @@ def _recv_msg(conn) -> Any:
 
 
 class ProcessesBackend(ExecutionBackend):
-    """One forked worker process per rank, event batches over pipes or
-    shared memory.
+    """One forked worker process per rank, event batches over pipes.
 
     The parent process runs the sync strategy and the epoch loop; each
     worker owns one rank's :class:`Simulation` (inherited fully wired
     via fork) and runs its kernel windows on command.  Only exchanged
     events, step metadata and the final statistics harvest cross the
-    process boundary.
-
-    Two data-plane transports (``ParallelSimulation(transport=...)``):
-
-    * ``"pipe"`` — one pickled batch per pipe write (the historical
-      path, and the fallback when ``multiprocessing.shared_memory`` is
-      unavailable);
-    * ``"shm"`` — per-rank shared-memory ring buffers carrying
-      flat-encoded entries, with counter-spin epoch barriers
-      (:mod:`repro.core.shm`).  Control commands — snapshots, the final
-      harvest, shutdown, errors — stay on the pipes under either
-      transport.
+    process boundary, each message as one pickled batch per pipe write.
     """
 
     name = "processes"
@@ -343,24 +285,16 @@ class ProcessesBackend(ExecutionBackend):
         if "fork" not in mp.get_all_start_methods():
             raise SimulationError(
                 "the 'processes' backend requires the fork start method "
-                "(Linux/macOS); use backend='threads' or 'serial' here"
+                "(Linux/macOS); use backend='serial' here"
             )
         self._ctx = mp.get_context("fork")
         self._procs: List[Any] = []
         self._conns: List[Any] = []
-        self.transport = getattr(psim, "transport", "pipe")
-        self._exchange: Optional[Any] = None
 
     def start(self) -> None:
         if self._procs:
             return
         self._warn_uncovered_observers()
-        if self.transport == "shm" and self._exchange is None:
-            from .shm import ShmExchange
-
-            # Created before the fork so every worker inherits the
-            # mapped segment — nothing is re-attached by name.
-            self._exchange = ShmExchange(self.psim.num_ranks)
         # Fork AFTER setup(): workers inherit wired graphs, queued
         # setup events and registered primaries.  The parent keeps the
         # setup-time outbox entries (workers clear their copies).
@@ -368,7 +302,7 @@ class ProcessesBackend(ExecutionBackend):
             parent_conn, child_conn = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(self.psim, rank, child_conn, self._exchange),
+                args=(self.psim, rank, child_conn),
                 name=f"repro-rank{rank}", daemon=True,
             )
             proc.start()
@@ -418,23 +352,6 @@ class ProcessesBackend(ExecutionBackend):
 
     def step(self, epoch_end: SimTime,
              deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        if self._exchange is not None:
-            steps = self._step_shm(epoch_end, deliveries)
-        else:
-            steps = self._step_pipe(epoch_end, deliveries)
-        plan = getattr(self.psim, "rank_plan", None)
-        if plan is not None:
-            # Bounded rank-local record batches ride the transport
-            # alongside the step results (shard-less mode); hand them to
-            # the plan before the sync strategy ever sees the steps.
-            for rank, step in enumerate(steps):
-                if step.obs_records:
-                    plan.deliver(rank, step.obs_records)
-                    step.obs_records = None
-        return steps
-
-    def _step_pipe(self, epoch_end: SimTime,
-                   deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
         sent = 0
         for conn, entries in zip(self._conns, deliveries):
             blob = pickle.dumps(("step", epoch_end, entries),
@@ -450,32 +367,15 @@ class ProcessesBackend(ExecutionBackend):
             if msg[0] == "error":
                 raise msg[1]
             steps.append(msg[1])
-        return steps
-
-    def _step_shm(self, epoch_end: SimTime,
-                  deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        from .event import encode_entries
-        from .shm import decode_step
-
-        exchange = self._exchange
-        num_ranks = self.psim.num_ranks
-        before = exchange.bytes_posted + exchange.bytes_collected
-        for rank in range(num_ranks):
-            exchange.post(rank, epoch_end, encode_entries(deliveries[rank]),
-                          alive_check=self._procs[rank].is_alive)
-        steps = []
-        for rank in range(num_ranks):
-            blob = exchange.collect(rank,
-                                    alive_check=self._procs[rank].is_alive)
-            if blob is None:
-                # the worker flagged a failure; the exception itself is
-                # waiting on the control pipe
-                self._recv(rank)
-                raise SimulationError(  # pragma: no cover - _recv raises
-                    f"rank {rank} flagged an error without details")
-            steps.append(decode_step(blob, num_ranks))
-        self.last_exchange_bytes = (exchange.bytes_posted
-                                    + exchange.bytes_collected - before)
+        plan = getattr(self.psim, "rank_plan", None)
+        if plan is not None:
+            # Bounded rank-local record batches ride the pipe alongside
+            # the step results (shard-less mode); hand them to the plan
+            # before the sync strategy ever sees the steps.
+            for rank, step in enumerate(steps):
+                if step.obs_records:
+                    plan.deliver(rank, step.obs_records)
+                    step.obs_records = None
         return steps
 
     def finalize(self) -> None:
@@ -587,9 +487,6 @@ class ProcessesBackend(ExecutionBackend):
                 proc.join(timeout=1)
         self._procs = []
         self._conns = []
-        if self._exchange is not None:
-            self._exchange.close(unlink=True)
-            self._exchange = None
 
 
 def _adopt_stat(local, remote) -> None:
@@ -607,16 +504,11 @@ def _adopt_stat(local, remote) -> None:
         raise SimulationError(str(exc)) from None
 
 
-def _worker_main(psim: "ParallelSimulation", rank: int, conn,
-                 exchange: Any = None) -> None:
+def _worker_main(psim: "ParallelSimulation", rank: int, conn) -> None:
     """Per-rank worker loop (runs in a forked child process).
 
-    With ``exchange`` (a :class:`~repro.core.shm.ShmExchange` inherited
-    through fork), epoch steps arrive as shared-memory counter bumps and
-    results return on the rank's up ring; the pipe is polled while
-    idle-spinning so control commands (snapshot / finish / close) keep
-    working mid-run.  Without it, everything — steps included — arrives
-    on the pipe.
+    Every command — epoch steps, snapshots, the final harvest and
+    shutdown — arrives on the rank's pipe.
     """
     import traceback
 
@@ -669,7 +561,7 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                 f"rank {rank} worker failed:\n{traceback.format_exc()}"
             )))
 
-    def run_step_pipe(epoch_end, entries) -> None:
+    def run_step(epoch_end, entries) -> None:
         try:
             deliver_cross_rank(psim, rank, entries)
             result = _timed_step(sim, epoch_end)
@@ -691,38 +583,6 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                 f"serializable (events crossing ranks under the "
                 f"processes backend must be picklable): {exc}"
             ))
-
-    def run_step_shm() -> None:
-        """One shm-transport epoch: deliveries off the down ring, kernel
-        window, result onto the up ring (errors: flag + pipe)."""
-        from .event import decode_entries
-        from .shm import encode_step
-
-        nonlocal recorder
-        try:
-            epoch_end = exchange.epoch_end(rank)
-            entries, _ = decode_entries(exchange.read_deliveries(rank))
-            deliver_cross_rank(psim, rank, entries)
-            result = _timed_step(sim, epoch_end)
-            result.outbox = drain_outbox(psim, rank)
-            if recorder is not None:
-                try:
-                    recorder.on_step(result, epoch_end)
-                except Exception:  # pragma: no cover - defensive
-                    recorder = None
-            payload = encode_step(result)
-        except pickle.PicklingError as exc:
-            send_error(SimulationError(
-                f"rank {rank}: a cross-rank event is not serializable "
-                f"(events crossing ranks must be flat-encodable or "
-                f"picklable): {exc}"))
-            exchange.fail(rank)
-            return
-        except Exception as exc:
-            send_error(exc)
-            exchange.fail(rank)
-            return
-        exchange.complete(rank, payload)
 
     def handle_control(msg) -> bool:
         """Dispatch one pipe control command; False = stop the worker."""
@@ -768,41 +628,16 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
         return True
 
     try:
-        if exchange is None:
-            while True:
-                try:
-                    msg = _recv_msg(conn)
-                except (EOFError, OSError):
-                    return
-                if msg[0] == "step":
-                    run_step_pipe(msg[1], msg[2])
-                elif not handle_control(msg):
-                    return
-        else:
-            # shm transport: steps arrive as counter bumps; the pipe is
-            # polled between spins so control commands still land.
-            last_cmd = 0
-            spins = 0
-            while True:
-                if exchange.cmd_seq(rank) > last_cmd:
-                    last_cmd += 1
-                    spins = 0
-                    run_step_shm()
-                    continue
-                try:
-                    if conn.poll(0):
-                        msg = _recv_msg(conn)
-                        spins = 0
-                        if not handle_control(msg):
-                            return
-                        continue
-                except (EOFError, OSError):
-                    return
-                spins += 1
-                _wall_time.sleep(0 if spins < 100 else 0.0002)
+        while True:
+            try:
+                msg = _recv_msg(conn)
+            except (EOFError, OSError):
+                return
+            if msg[0] == "step":
+                run_step(msg[1], msg[2])
+            elif not handle_control(msg):
+                return
     finally:
-        if exchange is not None:
-            exchange.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover
@@ -812,7 +647,6 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
 #: Registry used by ParallelSimulation(backend="...") and the CLI.
 BACKENDS: Dict[str, Callable[["ParallelSimulation"], ExecutionBackend]] = {
     "serial": SerialBackend,
-    "threads": ThreadsBackend,
     "processes": ProcessesBackend,
 }
 
@@ -846,8 +680,7 @@ class JobPool:
     The coarse-grained sibling of :class:`ExecutionBackend`: where a
     backend parallelises ranks *within* one simulation, a job pool
     parallelises *whole simulations* (design-space sweep points).  The
-    substrate names match (``serial`` / ``threads`` / ``processes``),
-    and ``processes`` is again the one that scales past the GIL.
+    substrate names match (``serial`` / ``processes``).
     """
 
     name = "base"
@@ -871,19 +704,6 @@ class SerialJobPool(JobPool):
 
     def map(self, fn, items):
         return [fn(item) for item in items]
-
-
-class ThreadsJobPool(JobPool):
-    name = "threads"
-
-    def __init__(self, jobs: int):
-        self._pool = ThreadPoolExecutor(max_workers=jobs)
-
-    def map(self, fn, items):
-        return list(self._pool.map(fn, items))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 class ProcessesJobPool(JobPool):
@@ -918,10 +738,8 @@ def make_job_pool(backend: str = "serial",
     jobs = jobs if jobs is not None else default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend == "serial" or jobs == 1 and backend != "processes":
+    if backend == "serial":
         return SerialJobPool()
-    if backend == "threads":
-        return ThreadsJobPool(jobs)
     if backend == "processes":
         return ProcessesJobPool(jobs)
     raise ValueError(

@@ -7,18 +7,17 @@ the per-rank workers of the execution backends
 defined here.  The loop itself is policy-free: limits, the exit
 protocol, observability dispatch and the final statistics harvest are
 threaded in through a :class:`RunContext`, so the sequential engine,
-the threaded epoch step and a forked per-rank worker all execute
+the serial epoch step and a forked per-rank worker all execute
 events identically.
 
 Layering (see docs/ARCHITECTURE.md):
 
 * **kernel** (this module) — pop the next :class:`EventRecord`, advance
   ``now``, dispatch through the compiled observability slot.
-* **SyncStrategy** (:mod:`repro.core.sync`) — decides *how far* each
+* **ConservativeSync** (:mod:`repro.core.sync`) — decides *how far* each
   rank may run (epoch windows, lookahead, cross-rank exchange).
 * **ExecutionBackend** (:mod:`repro.core.backends`) — decides *where*
-  each rank's kernel loop executes (inline, thread pool, forked
-  process).
+  each rank's kernel loop executes (inline or in a forked process).
 
 Checkpoint contract (:mod:`repro.ckpt`): snapshots are only taken
 *between* kernel invocations — at conservative-sync epoch boundaries

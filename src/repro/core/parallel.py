@@ -15,10 +15,9 @@ layers (see docs/ARCHITECTURE.md):
 * the **sync strategy** (:mod:`repro.core.sync`) computes epoch windows
   and orders the cross-rank exchange deterministically;
 * the **execution backend** (:mod:`repro.core.backends`) decides where
-  the per-rank kernels run: ``serial`` (reference, calling thread),
-  ``threads`` (GIL-bound, protocol scaling only) or ``processes``
-  (forked per-rank workers exchanging serialized event batches over
-  pipes — true multi-core scaling).
+  the per-rank kernels run: ``serial`` (reference, calling thread) or
+  ``processes`` (forked per-rank workers exchanging pickled event
+  batches over pipes — true multi-core scaling).
 
 :class:`ParallelSimulation` composes the three: it owns the per-rank
 :class:`Simulation` objects and the cross-rank link table, drives the
@@ -43,13 +42,10 @@ from .component import Component
 from .event import Event, EventRecord
 from .link import Link, LinkError, Port
 from .simulation import Simulation, SimulationError
-from .sync import SyncStrategy, make_sync
+from .sync import ConservativeSync
 from .units import SimTime
 
 _INF = float("inf")
-
-#: processes-backend data-plane transports (see repro.core.backends)
-TRANSPORTS = ("pipe", "shm")
 
 
 @dataclass
@@ -172,24 +168,15 @@ class ParallelSimulation:
 
     def __init__(self, num_ranks: int, *, seed: int = 1, queue: str = "heap",
                  backend: str = "serial", verbose: bool = False,
-                 clock_arbiter: Optional[bool] = None,
-                 transport: str = "pipe", sync: str = "conservative"):
+                 clock_arbiter: Optional[bool] = None):
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; options: {sorted(BACKENDS)}"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; options: {list(TRANSPORTS)}"
-            )
         self.num_ranks = num_ranks
         self.backend = backend
-        #: processes-backend data plane: "pipe" (pickled batches) or
-        #: "shm" (shared-memory rings; in-process backends ignore it)
-        self.transport = transport
-        self.sync_name = sync
         self.seed = seed
         self.queue_kind = queue
         #: partitioner strategy label; set by config.build_parallel for
@@ -233,9 +220,9 @@ class ParallelSimulation:
         self._cross_links: Dict[int, _CrossRankLink] = {}
         self._next_link_id = 0
         #: epoch-window / exchange policy (layer 2)
-        self._sync = make_sync(sync)
+        self._sync = ConservativeSync()
         #: execution substrate (layer 3); created per run(), closed in
-        #: its finally block so failed runs never leak pools/workers.
+        #: its finally block so failed runs never leak worker processes.
         self._backend: Optional[ExecutionBackend] = None
         #: rank-local observability plan (duck-typed; in practice a
         #: :class:`repro.obs.rank_stream.RankStreamPlan`).  Instruments
@@ -303,7 +290,7 @@ class ParallelSimulation:
         end_a, end_b = link.endpoints
         end_a.set_remote(self._make_remote_sender(rank_a, rank_b, link_id))
         end_b.set_remote(self._make_remote_sender(rank_b, rank_a, link_id))
-        self._sync.note_cross_link(lat, rank_a, rank_b)
+        self._sync.note_cross_link(lat)
 
     def _make_remote_sender(self, src_rank: int, dest_rank: int, link_id: int):
         # Hot path: capture the destination bucket's append and the
@@ -330,7 +317,7 @@ class ParallelSimulation:
         return self._sync.lookahead
 
     @property
-    def sync_strategy(self) -> SyncStrategy:
+    def sync_strategy(self) -> ConservativeSync:
         """The epoch-window/exchange policy object (layer 2)."""
         return self._sync
 
@@ -422,8 +409,7 @@ class ParallelSimulation:
         per-rank :class:`~repro.core.backends.RankStep` results into
         engine statistics, epoch observers and the final result.  The
         backend is created per run and closed in a ``finally`` block,
-        so a model exception mid-epoch can never leak a thread pool or
-        worker processes.
+        so a model exception mid-epoch can never leak worker processes.
 
         With ``checkpoint_every`` (simulated-time interval), a
         `repro.ckpt` snapshot is written into ``checkpoint_dir`` at the
@@ -441,7 +427,7 @@ class ParallelSimulation:
                 f"cannot resume a processes-backend run stopped on "
                 f"{self._unresumable!r}: per-rank queues died with the "
                 f"worker processes.  Run to completion, or use the "
-                f"'serial'/'threads' backend for resumable limited runs."
+                f"'serial' backend for resumable limited runs."
             )
         if not self._setup_done:
             self.setup()
@@ -647,19 +633,10 @@ class ParallelSimulation:
         return {key: stat.value() for key, stat in self.sync_stats().items()}
 
     def close(self) -> None:
-        """Release the execution substrate (pool / worker processes)."""
+        """Release the execution substrate (worker processes)."""
         if self._backend is not None:
             self._backend.close()
             self._backend = None
-
-    @property
-    def _pool(self):
-        """Back-compat shim for code that poked the old thread pool.
-
-        The pool now lives on the threads execution backend; outside a
-        run (or under other backends) there is none and this is None.
-        """
-        return getattr(self._backend, "_pool", None)
 
     def __enter__(self) -> "ParallelSimulation":
         return self

@@ -1,6 +1,6 @@
 """Tests for the engine's layered execution stack.
 
-Covers the three execution backends (serial / threads / processes) and
+Covers the two execution backends (serial / processes) and
 the coarse-grained job pools: stat equivalence on the same partitioned
 graph, worker error propagation, resource cleanup on failure, and the
 per-rank engine RNG streams.
@@ -120,8 +120,8 @@ class TestProcessesBackend:
         with pytest.raises(SimulationError, match="cannot resume"):
             psim.run()
 
-    def test_threads_backend_resumes_after_limit(self):
-        psim = ParallelSimulation(2, seed=1, backend="threads")
+    def test_serial_backend_resumes_after_limit(self):
+        psim = ParallelSimulation(2, seed=1, backend="serial")
         a = PingPong(psim.rank_sim(0), "ping",
                      Params({"initiator": True, "n_round_trips": 12}))
         b = PingPong(psim.rank_sim(1), "pong", Params({}))
@@ -152,7 +152,6 @@ class TestCleanupOnFailure:
         with pytest.raises(RuntimeError, match="model bug"):
             psim.run()
         assert psim._backend is None
-        assert psim._pool is None
 
 
 class TestRankSeeds:
@@ -190,10 +189,6 @@ class TestJobPools:
     def test_map_preserves_order(self, backend):
         with make_job_pool(backend, jobs=2) as pool:
             assert pool.map(_square, range(8)) == [x * x for x in range(8)]
-
-    def test_serial_fallback_for_single_job(self):
-        pool = make_job_pool("threads", jobs=1)
-        assert pool.name == "serial"
 
     def test_unknown_pool_backend_raises(self):
         with pytest.raises(ValueError, match="unknown job-pool backend"):

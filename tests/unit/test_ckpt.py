@@ -125,6 +125,35 @@ class TestParallelCheckpoint:
         finally:
             resumed.close()
 
+    def test_processes_midrun_snapshot_resumes_exactly(self, tmp_path):
+        """A snapshot written by the processes backend's workers resumes
+        on that backend to the uninterrupted run's end state (snapshot
+        commands share the pipes with the epoch steps)."""
+        ref = build_parallel(small_graph(), 2, strategy="round_robin",
+                             seed=7, backend="processes")
+        ref_result = ref.run()
+        ref_stats = ref.stat_values()
+        ref.close()
+        assert ref_result.reason == "exit"
+
+        psim = build_parallel(small_graph(), 2, strategy="round_robin",
+                              seed=7, backend="processes")
+        psim.run(checkpoint_every=ref_result.end_time // 3,
+                 checkpoint_dir=str(tmp_path))
+        assert psim.checkpoints_written, "no snapshot landed mid-run"
+        mid = psim.checkpoints_written[0]
+        psim.close()
+
+        resumed = restore(mid)
+        try:
+            assert resumed.backend == "processes"
+            result = resumed.run()
+            assert result.reason == ref_result.reason
+            assert result.end_time == ref_result.end_time
+            assert resumed.stat_values() == ref_stats
+        finally:
+            resumed.close()
+
     def test_restore_across_rank_counts(self, tmp_path):
         """4-rank snapshot -> 2-rank and sequential repartition restores
         all land on the cold-reference statistics."""
