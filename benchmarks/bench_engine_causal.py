@@ -1,8 +1,8 @@
 """ENG-6 — causal-capture overhead: provenance tracing on vs off.
 
 Causal tracing (PR 8, :mod:`repro.obs.causal`) rides the *instrumented*
-dispatch path: with capture off the bare hot loop must be byte-for-byte
-untouched, and with capture on the per-record cost is an interned-table
+dispatch path: with capture off the kernel loop calls handlers directly,
+and with capture on the per-record cost is a dict pop, an interned-table
 lookup plus a few list appends.  This bench runs the 1k-component
 clocked fabric ENG-2/ENG-5 use, bare and with
 :class:`repro.obs.CausalCapture` attached, and pins two gates:

@@ -1,9 +1,9 @@
 """ENG-2 — hot-path ablation: the shared-clock arbiter on and off.
 
-PR 4's kernel optimisations (shared :class:`repro.core.ClockArbiter`,
-event-record pooling, hoisted dispatch loops) target the same-frequency
-clocked-fabric shape that dominates architectural models: hundreds of
-components all ticking at the core clock.  This bench measures that
+The kernel's hot-path design (shared :class:`repro.core.ClockArbiter`,
+tuple event records, one dispatch loop per kernel entry point) targets
+the same-frequency clocked-fabric shape that dominates architectural
+models: hundreds of components all ticking at the core clock.  This bench measures that
 shape — 1000 components x 200 ticks — for both pending-event-set
 implementations with the arbiter enabled (the default) and disabled
 (``REPRO_CLOCK_ARBITER=0``, the pre-PR per-clock scheduling path), and

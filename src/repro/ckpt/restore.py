@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ..core import units
 from ..core.clock import _ArbiterTickEvent, _ClockTickEvent
 from ..core.component import Component
-from ..core.event import CallbackEvent, EventRecord
+from ..core.event import CallbackEvent
 from ..core.kernel import RunContext, kernel_run
 from ..core.link import Port
 from ..core.parallel import ParallelSimulation
@@ -378,7 +378,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
     for sim in sims:
         entries = merged[sim.rank]
         entries.sort(key=lambda e: e[:5])
-        records = [EventRecord(t, p, i, handler, event)
+        records = [(t, p, i, handler, event)
                    for i, (t, p, _ph, _t1, _t2, handler, event)
                    in enumerate(entries)]
         sim._queue.restore_records(records, len(records))
@@ -556,9 +556,9 @@ def replay(path: Union[str, Path], *,
         if observer is not None:
             observer(time, handler, event)
 
-    sim.set_trace(_collect)
+    sim.add_trace_observer(_collect)
     try:
         result = sim.run(max_time=max_time, max_events=max_events)
     finally:
-        sim.set_trace(None)
+        sim.remove_trace_observer(_collect)
     return sim, result, trace

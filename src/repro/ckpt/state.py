@@ -56,7 +56,7 @@ import io
 import pickle
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.event import EventRecord, IdSource
+from ..core.event import IdSource
 from ..core.simulation import Simulation
 from ..core.statistics import adopt_state
 
@@ -299,8 +299,7 @@ def capture_sim_state(sim: Simulation,
     linked = {
         "components": {name: comp.capture_state()
                        for name, comp in sim._components.items()},
-        "records": [(r.time, r.priority, r.seq, r.handler, r.event)
-                    for r in queue.snapshot_records()],
+        "records": queue.snapshot_records(),
     }
     return {"meta": meta, "linked": dump_refs([sim], linked)}
 
@@ -376,9 +375,7 @@ def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
                 f"mode mismatch?)"
             )
         arbiter.restore_state(astate, sim._clocks)
-    records = [EventRecord(t, p, s, h, e)
-               for (t, p, s, h, e) in linked["records"]]
-    sim._queue.restore_records(records, meta["queue_seq"])
+    sim._queue.restore_records(linked["records"], meta["queue_seq"])
     sim.now = meta["now"]
     sim.last_event_time = meta["last_event_time"]
     sim._events_executed = meta["events_executed"]

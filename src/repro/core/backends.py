@@ -153,8 +153,8 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
     for when, priority, link_id, dest_rank, send_seq, event in entries:
         link = cross[link_id]
         port = link.port_b if dest_rank == link.rank_b else link.port_a
-        record = queue.push(when, priority, port.deliver, event)
-        causal.on_cross_recv(record.seq, link_id, send_seq, when, priority)
+        seq = queue.push(when, priority, port.deliver, event)
+        causal.on_cross_recv(seq, link_id, send_seq, when, priority)
 
 
 def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
@@ -325,10 +325,7 @@ class ProcessesBackend(ExecutionBackend):
                          and getattr(plan, "has_record_sink", False))
         doomed: List[str] = []
         for rank, sim in enumerate(self.psim._sims):
-            candidates: List[Any] = []
-            if sim._trace_fn is not None:
-                candidates.append(sim._trace_fn)
-            candidates.extend(sim._trace_observers)
+            candidates: List[Any] = list(sim._trace_observers)
             candidates.extend(sim._span_observers)
             candidates.extend(sim._heartbeats)
             for fn in candidates:
@@ -515,9 +512,8 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn) -> None:
     sim = psim._sims[rank]
     # Per-event observers cannot usefully cross the process boundary
     # (their sinks — files, aggregation dicts — live in the parent);
-    # detach them so the kernel loop takes the bare path.  The parent
-    # warned about any observer the rank plan does not cover.
-    sim._trace_fn = None
+    # detach them so the kernel loop dispatches handlers directly.  The
+    # parent warned about any observer the rank plan does not cover.
     sim._trace_observers = []
     sim._span_observers = []
     sim._heartbeats = {}

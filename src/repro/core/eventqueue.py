@@ -11,6 +11,11 @@ interchangeable implementations are provided:
   event horizon is short relative to the bin width (clocked component
   graphs), but degrades when timestamps are spread widely.
 
+A queued delivery is the plain tuple ``(time, priority, seq, handler,
+event)`` (:data:`Record`).  ``seq`` is unique per queue, so tuple
+comparison always resolves on the ``(time, priority, seq)`` key — in C,
+never reaching the handler or the event.
+
 ``benchmarks/bench_engine_throughput.py`` carries the ablation between
 the two (experiment ENG-1 in DESIGN.md).
 """
@@ -18,11 +23,13 @@ the two (experiment ENG-1 in DESIGN.md).
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .event import Event, EventRecord, Handler, acquire_record
+from .event import Event, Handler
 from .units import SimTime
+
+#: A queued delivery: ``(time, priority, seq, handler, event)``.
+Record = Tuple[SimTime, int, int, Optional[Handler], Optional[Event]]
 
 
 class EventQueueBase:
@@ -34,13 +41,16 @@ class EventQueueBase:
         priority: int,
         handler: Optional[Handler],
         event: Optional[Event],
-    ) -> EventRecord:
+    ) -> int:
+        """Queue a delivery; returns the insertion ``seq`` it was given."""
         raise NotImplementedError
 
-    def push_record(self, record: EventRecord) -> None:
-        raise NotImplementedError
+    def pop(self, until: SimTime) -> Optional[Record]:
+        """Remove and return the earliest record if its time is ``<= until``.
 
-    def pop(self) -> EventRecord:
+        Returns None (and removes nothing) when the queue is empty or
+        its earliest record lies beyond ``until``.
+        """
         raise NotImplementedError
 
     def peek_time(self) -> Optional[SimTime]:
@@ -65,11 +75,11 @@ class EventQueueBase:
         """The next insertion sequence number this queue will assign."""
         raise NotImplementedError
 
-    def snapshot_records(self) -> List[EventRecord]:
+    def snapshot_records(self) -> List[Record]:
         """All pending records, non-destructively, in no particular order."""
         raise NotImplementedError
 
-    def restore_records(self, records: List[EventRecord], seq: int) -> None:
+    def restore_records(self, records: List[Record], seq: int) -> None:
         """Replace the queue's contents and seq counter wholesale.
 
         Existing records are discarded (a rebuild pushes setup-time
@@ -85,7 +95,7 @@ class HeapEventQueue(EventQueueBase):
     __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._heap: List[EventRecord] = []
+        self._heap: List[Record] = []
         self._seq = 0
 
     def push(
@@ -94,27 +104,22 @@ class HeapEventQueue(EventQueueBase):
         priority: int,
         handler: Optional[Handler],
         event: Optional[Event],
-    ) -> EventRecord:
-        record = acquire_record(time, priority, self._seq, handler, event)
-        self._seq += 1
-        heapq.heappush(self._heap, record)
-        return record
+    ) -> int:
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, priority, seq, handler, event))
+        return seq
 
-    def push_record(self, record: EventRecord) -> None:
-        # Records arriving from another rank already carry a sequence
-        # number; keep the local counter ahead of it so later local
-        # pushes sort after.
-        if record.seq >= self._seq:
-            self._seq = record.seq + 1
-        heapq.heappush(self._heap, record)
-
-    def pop(self) -> EventRecord:
-        return heapq.heappop(self._heap)
+    def pop(self, until: SimTime) -> Optional[Record]:
+        heap = self._heap
+        if heap and heap[0][0] <= until:
+            return heapq.heappop(heap)
+        return None
 
     def peek_time(self) -> Optional[SimTime]:
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -123,10 +128,10 @@ class HeapEventQueue(EventQueueBase):
     def seq(self) -> int:
         return self._seq
 
-    def snapshot_records(self) -> List[EventRecord]:
+    def snapshot_records(self) -> List[Record]:
         return list(self._heap)
 
-    def restore_records(self, records: List[EventRecord], seq: int) -> None:
+    def restore_records(self, records: List[Record], seq: int) -> None:
         self._heap = list(records)
         heapq.heapify(self._heap)
         self._seq = seq
@@ -136,8 +141,8 @@ class BinnedEventQueue(EventQueueBase):
     """Calendar-queue variant: fixed-width bins plus an overflow heap.
 
     Records within ``horizon = bin_width * n_bins`` of the current front
-    go into per-bin FIFO deques (sorted lazily on first pop from the
-    bin); records beyond the horizon land in an overflow heap that is
+    go into per-bin lists (sorted lazily when the window front reaches
+    the bin); records beyond the horizon land in an overflow heap that is
     drained as the calendar advances.
 
     Parameters
@@ -158,9 +163,9 @@ class BinnedEventQueue(EventQueueBase):
             raise ValueError("n_bins must be positive")
         self._bin_width = bin_width
         self._n_bins = n_bins
-        self._bins: Dict[int, List[EventRecord]] = {}
+        self._bins: Dict[int, List[Record]] = {}
         self._base = 0  # index of the first bin in the active window
-        self._overflow: List[EventRecord] = []
+        self._overflow: List[Record] = []
         self._seq = 0
         self._count = 0
 
@@ -173,16 +178,14 @@ class BinnedEventQueue(EventQueueBase):
         priority: int,
         handler: Optional[Handler],
         event: Optional[Event],
-    ) -> EventRecord:
-        record = acquire_record(time, priority, self._seq, handler, event)
-        self._seq += 1
-        self.push_record(record)
-        return record
+    ) -> int:
+        seq = self._seq
+        self._seq = seq + 1
+        self._insert((time, priority, seq, handler, event))
+        return seq
 
-    def push_record(self, record: EventRecord) -> None:
-        if record.seq >= self._seq:
-            self._seq = record.seq + 1
-        index = self._bin_index(record.time)
+    def _insert(self, record: Record) -> None:
+        index = self._bin_index(record[0])
         if index >= self._base + self._n_bins:
             heapq.heappush(self._overflow, record)
         else:
@@ -197,31 +200,36 @@ class BinnedEventQueue(EventQueueBase):
                 if lowest >= self._base:
                     self._base = lowest
             if self._overflow:
-                over_index = self._bin_index(self._overflow[0].time)
+                over_index = self._bin_index(self._overflow[0][0])
                 if not self._bins or over_index <= min(self._bins):
                     self._base = over_index
             # Drain overflow records that now fall inside the window.
             horizon = self._base + self._n_bins
             moved = False
-            while self._overflow and self._bin_index(self._overflow[0].time) < horizon:
+            while self._overflow and self._bin_index(self._overflow[0][0]) < horizon:
                 record = heapq.heappop(self._overflow)
-                self._bins.setdefault(self._bin_index(record.time), []).append(record)
+                self._bins.setdefault(self._bin_index(record[0]), []).append(record)
                 moved = True
             if not moved:
                 return
 
-    def pop(self) -> EventRecord:
-        if self._count == 0:
-            raise IndexError("pop from empty BinnedEventQueue")
+    def _front(self) -> Tuple[int, List[Record]]:
+        """The front bin's index and records, smallest record last."""
         self._advance()
         lowest = min(self._bins)
         bucket = self._bins[lowest]
         # Lazy sort: a bin is sorted only when the window front reaches it.
         if len(bucket) > 1:
-            bucket.sort(reverse=True)  # pop() from the end = smallest first
-            record = bucket.pop()
-        else:
-            record = bucket.pop()
+            bucket.sort(reverse=True)
+        return lowest, bucket
+
+    def pop(self, until: SimTime) -> Optional[Record]:
+        if self._count == 0:
+            return None
+        lowest, bucket = self._front()
+        if bucket[-1][0] > until:
+            return None
+        record = bucket.pop()
         if not bucket:
             del self._bins[lowest]
         self._count -= 1
@@ -230,9 +238,7 @@ class BinnedEventQueue(EventQueueBase):
     def peek_time(self) -> Optional[SimTime]:
         if self._count == 0:
             return None
-        self._advance()
-        lowest = min(self._bins)
-        return min(r.time for r in self._bins[lowest])
+        return self._front()[1][-1][0]
 
     def __len__(self) -> int:
         return self._count
@@ -241,18 +247,18 @@ class BinnedEventQueue(EventQueueBase):
     def seq(self) -> int:
         return self._seq
 
-    def snapshot_records(self) -> List[EventRecord]:
+    def snapshot_records(self) -> List[Record]:
         records = [r for bucket in self._bins.values() for r in bucket]
         records.extend(self._overflow)
         return records
 
-    def restore_records(self, records: List[EventRecord], seq: int) -> None:
+    def restore_records(self, records: List[Record], seq: int) -> None:
         self._bins = {}
         self._overflow = []
         self._base = 0
         self._count = 0
         for record in records:
-            self.push_record(record)
+            self._insert(record)
         self._seq = seq
 
 

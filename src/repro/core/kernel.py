@@ -12,8 +12,9 @@ events identically.
 
 Layering (see docs/ARCHITECTURE.md):
 
-* **kernel** (this module) — pop the next :class:`EventRecord`, advance
-  ``now``, dispatch through the compiled observability slot.
+* **kernel** (this module) — pop the next ``(time, priority, seq,
+  handler, event)`` record, advance ``now``, dispatch to the handler or
+  through the compiled observability slot.
 * **ConservativeSync** (:mod:`repro.core.sync`) — decides *how far* each
   rank may run (epoch windows, lookahead, cross-rank exchange).
 * **ExecutionBackend** (:mod:`repro.core.backends`) — decides *where*
@@ -23,10 +24,10 @@ Checkpoint contract (:mod:`repro.ckpt`): snapshots are only taken
 *between* kernel invocations — at conservative-sync epoch boundaries
 for parallel runs, between ``max_time``-bounded segments for
 sequential ones — never from inside a loop body.  Two loop-level facts
-make restored runs bit-identical: (1) the dispatch mode (bare vs
-instrumented) is recomputed at every entry from ``sim._instr``, so a
-restore never has to persist the pooling decision — re-attaching the
-same observers before resuming reproduces it; (2) the total event
+make restored runs bit-identical: (1) dispatch reads ``sim._instr`` per
+event and records are plain tuples with no engine-side reuse, so a
+snapshot holds no dispatch state — re-attaching the same observers
+before resuming reproduces the observed run; (2) the total event
 order is ``(time, priority, seq)`` and the queue's ``seq`` counter is
 part of the snapshot, so records pushed after a restore tie-break
 exactly as they would have in the uninterrupted run.
@@ -39,11 +40,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union
 
 from . import units
-from .event import release_record
 from .units import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulation import RunResult, Simulation
+
+#: ``until`` bound of a run with no time limit
+_FOREVER = float("inf")
 
 
 @dataclass
@@ -98,22 +101,15 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
     stop reason is one of ``exhausted``, ``exit``, ``max_time``,
     ``max_events`` or ``stopped``.
 
-    The dispatch mode is precomputed at entry (hot-path contract): with
-    no observers installed the loop runs *bare* — hoisted queue
-    bindings, no per-event attribute probing, dispatched records
-    recycled through the event-record pool.  Observers attached
-    mid-run from inside a handler therefore take effect at the next
-    ``run()``/``run_step()`` call in bare mode; removing the last
-    observer mid-run is honoured immediately (the instrumented loop
-    re-probes and falls through to the bare loop).  Records dispatched
-    while instrumented are never pooled — observers may retain them
-    (see docs/PERFORMANCE.md, the observer-vs-pool aliasing rule).
+    One loop serves every run: it reads ``sim._instr`` per event and
+    calls the compiled observability dispatcher when one is installed,
+    else the record's handler directly.  Observers attached or removed
+    from inside a handler therefore take effect at the next event.
 
     Causal tracing (:mod:`repro.obs.causal`) rides the same switch: an
     attached tracer forces ``sim._instr`` non-None, and the compiled
     ``_instr`` closure notes each record and arms/clears the tracer's
-    cause cell around dispatch.  The bare loop is never touched —
-    ``--trace-causal`` off means zero added cost here.
+    cause cell around dispatch.
     """
     from .simulation import RunResult, SimulationError
 
@@ -122,126 +118,55 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
     if not sim._setup_done:
         sim.setup()
     limit = ctx.limit
+    until = _FOREVER if limit is None else limit
     sim._running = True
     sim._stop_requested = False
     reason = None
     start_wall = _wall_time.perf_counter()
     start_events = sim._events_executed
-    # Hoisted loop state: queue methods, limits, and the precomputed
-    # dispatch conditions (exit protocol on/off, events budget).
     queue = sim._queue
-    peek = queue.peek_time
     pop = queue.pop
-    release = release_record
     check_exit = not ctx.ignore_exit and bool(sim._primary_components)
-    # Records budget (max_events counts popped records, as before);
+    # Records budget (max_events counts popped records);
     # float("inf") turns "no budget" into a single cheap comparison.
     budget = ctx.max_events if ctx.max_events is not None else float("inf")
     records = 0
     # Live-plane boundary marks (repro.obs.live): per-invocation, never
-    # per-event, so bare-mode dispatch cost is unchanged.
+    # per-event.
     live = sim._live_publisher
     if live is not None:
         live.on_kernel_enter()
     try:
-        while reason is None:
-            if sim._instr is not None:
-                # ---------------- instrumented loop -----------------
-                # Identical per-event semantics to the pre-optimisation
-                # loop: per-event _instr probe (observers may detach
-                # mid-run), records counted on sim directly, no pooling.
-                while True:
-                    instr = sim._instr
-                    if instr is None:
-                        break  # last observer detached: go bare
-                    next_time = peek()
-                    if next_time is None:
-                        reason = "exhausted"
-                        break
-                    if limit is not None and next_time > limit:
-                        reason = "max_time"
-                        sim.now = limit
-                        break
-                    record = pop()
-                    sim.now = next_time
-                    sim.last_event_time = next_time
-                    # Counted before dispatch so heartbeat/telemetry
-                    # callbacks observe the event that triggered them.
-                    sim._events_executed += 1
-                    records += 1
-                    instr(record)
-                    if sim._stop_requested:
-                        reason = "stopped"
-                        break
-                    if check_exit and sim._primaries_pending == 0:
-                        reason = "exit"
-                        break
-                    if records >= budget:
-                        reason = "max_events"
-                        break
-            elif limit is None:
-                # ---------------- bare loop, no time limit ----------
-                executed = 0
-                try:
-                    while True:
-                        try:
-                            record = pop()
-                        except IndexError:
-                            reason = "exhausted"
-                            break
-                        now = record.time
-                        sim.now = now
-                        sim.last_event_time = now
-                        executed += 1
-                        handler = record.handler
-                        if handler is not None:
-                            handler(record.event)
-                        release(record)
-                        if sim._stop_requested:
-                            reason = "stopped"
-                            break
-                        if check_exit and sim._primaries_pending == 0:
-                            reason = "exit"
-                            break
-                        if executed + records >= budget:
-                            reason = "max_events"
-                            break
-                finally:
-                    records += executed
-                    sim._events_executed += executed
-            else:
-                # ---------------- bare loop, time limit -------------
-                executed = 0
-                try:
-                    while True:
-                        next_time = peek()
-                        if next_time is None:
-                            reason = "exhausted"
-                            break
-                        if next_time > limit:
-                            reason = "max_time"
-                            sim.now = limit
-                            break
-                        record = pop()
-                        sim.now = next_time
-                        sim.last_event_time = next_time
-                        executed += 1
-                        handler = record.handler
-                        if handler is not None:
-                            handler(record.event)
-                        release(record)
-                        if sim._stop_requested:
-                            reason = "stopped"
-                            break
-                        if check_exit and sim._primaries_pending == 0:
-                            reason = "exit"
-                            break
-                        if executed + records >= budget:
-                            reason = "max_events"
-                            break
-                finally:
-                    records += executed
-                    sim._events_executed += executed
+        while True:
+            record = pop(until)
+            if record is None:
+                if queue:
+                    reason = "max_time"
+                    sim.now = limit
+                else:
+                    reason = "exhausted"
+                break
+            now, _priority, _seq, handler, event = record
+            sim.now = now
+            sim.last_event_time = now
+            # Counted before dispatch so heartbeat/telemetry callbacks
+            # observe the event that triggered them.
+            sim._events_executed += 1
+            records += 1
+            instr = sim._instr
+            if instr is not None:
+                instr(record)
+            elif handler is not None:
+                handler(event)
+            if sim._stop_requested:
+                reason = "stopped"
+                break
+            if check_exit and sim._primaries_pending == 0:
+                reason = "exit"
+                break
+            if records >= budget:
+                reason = "max_events"
+                break
     finally:
         sim._running = False
         if live is not None:
@@ -265,53 +190,28 @@ def kernel_step(sim: "Simulation", until: SimTime) -> int:
     The epoch-window variant of the kernel loop behind
     :meth:`Simulation.run_step` and every execution backend's per-rank
     step.  Does not honour max_time or the exit protocol — the sync
-    strategy coordinates those globally.  Returns the number of events
-    executed; afterwards ``sim.now == max(until, last event time)``.
+    strategy coordinates those globally.  Dispatch is the same per-event
+    ``sim._instr`` switch as :func:`kernel_run`.  Returns the number of
+    events executed; afterwards ``sim.now == max(until, last event time)``.
     """
-    queue = sim._queue
-    peek = queue.peek_time
-    pop = queue.pop
-    release = release_record
+    pop = sim._queue.pop
     start_executed = sim._events_executed
     live = sim._live_publisher
     if live is not None:
         live.on_kernel_enter()
-    if sim._instr is not None:
-        # Instrumented window: per-event probe (observers may detach
-        # mid-window), no record pooling — observers may retain records.
-        while True:
-            next_time = peek()
-            if next_time is None or next_time > until:
-                break
-            record = pop()
-            sim.now = next_time
-            sim.last_event_time = next_time
-            sim._events_executed += 1
-            instr = sim._instr
-            if instr is not None:
-                instr(record)
-            else:
-                handler = record.handler
-                if handler is not None:
-                    handler(record.event)
-    else:
-        # Bare window: hoisted bindings, dispatched records recycled.
-        count = 0
-        try:
-            while True:
-                next_time = peek()
-                if next_time is None or next_time > until:
-                    break
-                record = pop()
-                sim.now = next_time
-                sim.last_event_time = next_time
-                count += 1
-                handler = record.handler
-                if handler is not None:
-                    handler(record.event)
-                release(record)
-        finally:
-            sim._events_executed += count
+    while True:
+        record = pop(until)
+        if record is None:
+            break
+        now, _priority, _seq, handler, event = record
+        sim.now = now
+        sim.last_event_time = now
+        sim._events_executed += 1
+        instr = sim._instr
+        if instr is not None:
+            instr(record)
+        elif handler is not None:
+            handler(event)
     if sim.now < until:
         sim.now = until
     if live is not None:

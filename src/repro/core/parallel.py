@@ -39,7 +39,7 @@ from . import units
 from .backends import (BACKENDS, ExecutionBackend, RankStep, make_backend,
                        outbox_count)
 from .component import Component
-from .event import Event, EventRecord
+from .event import Event
 from .link import Link, LinkError, Port
 from .simulation import Simulation, SimulationError
 from .sync import ConservativeSync

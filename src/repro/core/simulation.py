@@ -28,7 +28,7 @@ from . import units
 from .clock import Clock, ClockArbiter, ClockHandler, _ArbiterTickEvent
 from .component import Component
 from .event import (PRIORITY_CLOCK, PRIORITY_EVENT, CallbackEvent, Event,
-                    EventRecord, Handler)
+                    Handler)
 from .eventqueue import EventQueueBase, make_queue
 from .link import Link, LinkError, Port
 from .statistics import StatisticGroup
@@ -135,24 +135,22 @@ class Simulation:
         #: time of the most recently executed event (excludes idle advance)
         self.last_event_time: SimTime = 0
         # --- observability dispatch (repro.obs) -----------------------
-        # The hot loop pays a single `self._instr is None` check; the
-        # compiled dispatcher below is rebuilt whenever observers change
-        # and is None when nothing is installed.
-        #: legacy single observer slot (set_trace); folded into dispatch.
-        self._trace_fn = None
+        # The hot loop pays a single `self._instr is None` check per
+        # event; the compiled dispatcher below is rebuilt whenever
+        # observers change and is None when nothing is installed.
         self._trace_observers: List[Any] = []
         self._span_observers: List[Any] = []
         self._heartbeats: Dict[Any, int] = {}
         self._instr = None
         #: causal tracer (repro.obs.causal); duck-typed — anything with
         #: on_dispatch(record) and a `cell` one-slot list.  Folded into
-        #: the instrumented dispatcher, so with tracing off the bare
-        #: path pays nothing and the instrumented path pays one check.
+        #: the instrumented dispatcher, so with tracing off dispatch
+        #: pays nothing and the instrumented path pays one check.
         self._causal = None
         #: live-plane publisher (repro.obs.live); duck-typed — anything
         #: with on_kernel_enter()/on_kernel_exit().  The kernel loop
         #: pays one `is not None` check per *invocation* (not per
-        #: event), so the bare hot path stays untouched.
+        #: event).
         self._live_publisher = None
         #: engine-level statistics (parallel-sync metrics etc.) — kept
         #: separate from component stats so sequential/parallel stat
@@ -316,7 +314,7 @@ class Simulation:
         ``sim.validate_events = True`` before setup), handlers of ports
         whose declaration names an event class are wrapped with
         isinstance checks — diagnostics only, never on by default, so
-        the bare hot path is unaffected.
+        the default hot path is unaffected.
         """
         if self._setup_done:
             return
@@ -395,23 +393,14 @@ class Simulation:
     # ------------------------------------------------------------------
     # observability dispatch (repro.obs attaches through these)
     # ------------------------------------------------------------------
-    def set_trace(self, fn) -> None:
-        """Install the legacy per-event observer ``fn(time, handler, event)``.
-
-        Pass ``None`` to remove (the hot loop then pays nothing).  For
-        coexisting observers use :meth:`add_trace_observer`; see
-        :class:`repro.core.tracelog.EventTraceLog` for a ready-made
-        filtering writer.
-        """
-        self._trace_fn = fn
-        self._rebuild_instr()
-
     def add_trace_observer(self, fn) -> None:
         """Add a per-event observer ``fn(time, handler, event)``.
 
-        Called *before* the handler executes.  Any number may coexist
-        (plus the legacy :meth:`set_trace` slot); with none installed
-        the hot loop pays a single ``is None`` check.
+        Called *before* the handler executes, from the next event on
+        (also when added from inside a handler).  Any number may
+        coexist; with none installed the hot loop pays a single
+        ``is None`` check.  See :class:`repro.core.tracelog.EventTraceLog`
+        for a ready-made filtering writer.
         """
         if fn not in self._trace_observers:
             self._trace_observers.append(fn)
@@ -466,22 +455,18 @@ class Simulation:
     def _rebuild_instr(self) -> None:
         """(Re)compile the instrumented event executor.
 
-        Folds the legacy trace slot, added trace observers, span
-        observers and heartbeats into one closure so the hot loop only
-        ever checks a single attribute.  With nothing installed the
-        dispatcher is ``None`` and the loop takes the bare path.
+        Folds trace observers, span observers, heartbeats and the causal
+        tracer into one closure so the hot loop only ever checks a single
+        attribute.  With nothing installed the dispatcher is ``None`` and
+        the loop calls each record's handler directly.
         """
-        trace_fns: List[Any] = []
-        if self._trace_fn is not None:
-            trace_fns.append(self._trace_fn)
-        trace_fns.extend(self._trace_observers)
+        traces = tuple(self._trace_observers)
         span_fns = tuple(self._span_observers)
         heartbeats = tuple(self._heartbeats.items())
         causal = self._causal
-        if not trace_fns and not span_fns and not heartbeats and causal is None:
+        if not traces and not span_fns and not heartbeats and causal is None:
             self._instr = None
             return
-        traces = tuple(trace_fns)
         hb_counts = [0] * len(heartbeats)
         perf = _wall_time.perf_counter
         sim = self
@@ -489,9 +474,7 @@ class Simulation:
         causal_cell = causal.cell if causal is not None else None
 
         def _instr(record) -> None:
-            time = record.time
-            handler = record.handler
-            event = record.event
+            time, _priority, _seq, handler, event = record
             if causal_note is not None:
                 # Record this node and arm the cause cell: every push the
                 # handler makes is stamped with this record's seq.

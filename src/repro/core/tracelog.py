@@ -52,7 +52,8 @@ class EventTraceLog:
     Parameters
     ----------
     sim:
-        The simulation to observe (installs itself via ``set_trace``).
+        The simulation to observe (installs itself via
+        :meth:`~repro.core.simulation.Simulation.add_trace_observer`).
     sink:
         A path (opened for writing) or an open text stream.  ``None``
         keeps records in memory only (``records``).

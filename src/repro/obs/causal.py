@@ -3,20 +3,20 @@
 Every dispatched event gets a *node id* ``(rank, seq)`` — the queue's
 insertion sequence is already part of the determinism contract (see
 ``tests/unit/test_determinism.py``), which makes the id stable across
-backends.  While a handler runs, every event it schedules is stamped
-with the running event's seq in the :class:`~repro.core.event.EventRecord`
-``cause`` slot; cross-rank link sends are recorded with their
-``(src_rank, send_seq)`` identity so the receiving rank can stitch the
-edge back together at analysis time.  The result is a causality DAG on
+backends.  While a handler runs, every event it schedules has its seq
+mapped to the running event's seq (the queue proxy's ``seq -> cause``
+map, drained as each event dispatches); cross-rank link sends are
+recorded with their ``(src_rank, send_seq)`` identity so the receiving
+rank can stitch the edge back together at analysis time.  The result is a causality DAG on
 disk — per-rank JSONL shards next to the metrics stream — that
 :mod:`repro.obs.critpath` walks backward to produce the simulated
 critical path.
 
 Capture is **off by default** and rides the *instrumented* dispatch
-path (:meth:`Simulation._rebuild_instr`): the bare hot loop is
-untouched, and the only hot-path cost when tracing is an interned-table
-lookup plus a list append per event (see ``benchmarks/bench_engine_causal.py``,
-ENG-6).
+path (:meth:`Simulation._rebuild_instr`): with tracing off the kernel
+loop calls handlers directly, and the only hot-path cost when tracing
+is a dict pop, an interned-table lookup and a list append per event
+(see ``benchmarks/bench_engine_causal.py``, ENG-6).
 
 Shard layout (schema ``repro-causal/1``), one file per rank at
 ``<base>.causal.rank<k>``:
@@ -98,26 +98,28 @@ class _TracedQueue:
     tracer cannot monkeypatch ``push``; instead the tracer swaps
     ``sim._queue`` for this proxy.  ``pop``/``peek_time`` are re-bound
     from the inner queue as instance attributes, so the kernel loops —
-    which hoist those bound methods — pay nothing extra; only ``push``
-    (schedule-time, not dispatch-time) takes the detour to stamp
-    ``record.cause`` from the tracer's one-slot cause cell.
+    which hoist the bound ``pop`` — pay nothing extra; only ``push``
+    (schedule-time, not dispatch-time) takes the detour to map the new
+    record's seq to the tracer's one-slot cause cell in ``causes``.
+    Roots (cause None) get no entry.
     """
 
-    __slots__ = ("_inner", "_cell", "pop", "peek_time")
+    __slots__ = ("_inner", "_cell", "causes", "pop", "peek_time")
 
     def __init__(self, inner, cell: List[Optional[int]]):
         self._inner = inner
         self._cell = cell
+        #: seq -> seq of the event whose handler scheduled it
+        self.causes: Dict[int, int] = {}
         self.pop = inner.pop
         self.peek_time = inner.peek_time
 
-    def push(self, time, priority, handler, event):
-        record = self._inner.push(time, priority, handler, event)
-        record.cause = self._cell[0]
-        return record
-
-    def push_record(self, record) -> None:
-        self._inner.push_record(record)
+    def push(self, time, priority, handler, event) -> int:
+        seq = self._inner.push(time, priority, handler, event)
+        cause = self._cell[0]
+        if cause is not None:
+            self.causes[seq] = cause
+        return seq
 
     @property
     def seq(self) -> int:
@@ -127,6 +129,8 @@ class _TracedQueue:
         return self._inner.snapshot_records()
 
     def restore_records(self, records, seq) -> None:
+        # Restored records are roots, as their provenance is not saved.
+        self.causes.clear()
         self._inner.restore_records(records, seq)
 
     def __len__(self) -> int:
@@ -192,6 +196,7 @@ class CausalTracer:
         # Splice into the engine: queue proxy + instrumented dispatch.
         self._inner_queue = sim._queue
         sim._queue = _TracedQueue(self._inner_queue, self.cell)
+        self._causes = sim._queue.causes
         sim._causal = self
         sim._rebuild_instr()
         if psim is not None:
@@ -200,9 +205,7 @@ class CausalTracer:
     # -- capture hooks -------------------------------------------------
     def on_dispatch(self, record) -> None:
         """Record the node for ``record`` and arm the cause cell."""
-        seq = record.seq
-        handler = record.handler
-        event = record.event
+        time, priority, seq, handler, event = record
         # Attribution: cache by the handler's owner object when there is
         # one; CallbackEvents attribute through their callback's owner.
         fn = event.callback if type(event) is CallbackEvent else handler
@@ -222,8 +225,8 @@ class CausalTracer:
             evt_idx = len(self._evts)
             self._evts.append(etype.__name__)
             self._evt_cache[etype] = evt_idx
-        self._nodes.append([seq, record.time, record.priority,
-                            getattr(record, "cause", None), comp_idx, evt_idx])
+        self._nodes.append([seq, time, priority, self._causes.pop(seq, None),
+                            comp_idx, evt_idx])
         self.cell[0] = seq
         if len(self._nodes) >= _FLUSH_ROWS:
             self.flush()
@@ -308,7 +311,7 @@ class CausalTracer:
             "events": list(self._evts),
         })
         self._file.close()
-        # Detach: restore the bare queue and dispatch path.
+        # Detach: restore the plain queue and dispatch path.
         sim = self.sim
         if getattr(sim._queue, "_inner", None) is self._inner_queue:
             sim._queue = self._inner_queue

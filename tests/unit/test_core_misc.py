@@ -5,26 +5,32 @@ import pytest
 from repro.core import (Component, Event, Params, Simulation, format_bytes,
                         format_time)
 from repro.core.event import (PRIORITY_CLOCK, PRIORITY_EVENT, PRIORITY_SYNC,
-                              CallbackEvent, EventRecord, NullEvent)
+                              CallbackEvent, NullEvent)
+from repro.core.eventqueue import BinnedEventQueue, HeapEventQueue
 from repro.core.registry import RegistryError, is_registered, resolve
 from tests.conftest import Sink, Source, Token
 
 
 class TestEventRecord:
     def test_ordering_key(self):
-        a = EventRecord(10, 50, 0, None, None)
-        b = EventRecord(10, 50, 1, None, None)
-        c = EventRecord(10, 25, 5, None, None)
-        d = EventRecord(5, 90, 9, None, None)
-        assert d < c < a < b
-        assert a == EventRecord(10, 50, 0, None, None)
-        assert hash(a) == hash(EventRecord(10, 50, 0, None, None))
+        # Records are (time, priority, seq, handler, event) tuples; the
+        # unique seq settles every tie, so unorderable handlers and
+        # events are never compared.
+        handlers = [lambda e: None for _ in range(4)]
+        for queue in (HeapEventQueue(), BinnedEventQueue()):
+            for time, priority, handler in ((10, 50, handlers[0]),
+                                            (10, 50, handlers[1]),
+                                            (10, 25, handlers[2]),
+                                            (5, 90, handlers[3])):
+                queue.push(time, priority, handler, object())
+            popped = [queue.pop(10) for _ in range(4)]
+            assert [r[:3] for r in popped] == [(5, 90, 3), (10, 25, 2),
+                                               (10, 50, 0), (10, 50, 1)]
+            assert [r[3] for r in popped] == [handlers[3], handlers[2],
+                                              handlers[0], handlers[1]]
 
     def test_priority_constants_ordered(self):
         assert PRIORITY_SYNC < PRIORITY_CLOCK < PRIORITY_EVENT
-
-    def test_eq_other_type(self):
-        assert EventRecord(1, 1, 1, None, None) != "record"
 
 
 class TestEventClone:

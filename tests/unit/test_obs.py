@@ -51,12 +51,33 @@ class TestObserverDispatch:
     def test_multiple_observers_coexist_with_legacy_trace(self, make_pingpong):
         sim = Simulation(seed=1)
         make_pingpong(sim, n=3)
-        a, b, legacy = [], [], []
-        sim.set_trace(lambda t, h, e: legacy.append(t))
+        a, b = [], []
         sim.add_trace_observer(lambda t, h, e: a.append(t))
         sim.add_trace_observer(lambda t, h, e: b.append(t))
         result = sim.run()
-        assert len(a) == len(b) == len(legacy) == result.events_executed
+        assert len(a) == len(b) == result.events_executed
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["run", "run_step"])
+    def test_observer_added_mid_run_sees_later_events(self, stepped):
+        """An observer a handler attaches sees every later event of the
+        same run() / run_step() window, not only the next call's."""
+        sim = Simulation(seed=1)
+        _machine(sim, count=20)
+        seen, attached_at = [], []
+
+        def attach(_payload):
+            attached_at.append(sim.events_executed)
+            sim.add_trace_observer(lambda t, h, e: seen.append(t))
+
+        sim.schedule_callback(15_000, attach)
+        if stepped:
+            sim.setup()
+            executed = sim.run_step(100_000)
+        else:
+            executed = sim.run().events_executed
+        assert attached_at and 0 < attached_at[0] < executed
+        assert len(seen) == executed - attached_at[0]
+        assert min(seen) >= 15_000
 
     def test_remove_observer_restores_bare_path(self):
         sim = Simulation()
@@ -65,7 +86,7 @@ class TestObserverDispatch:
         assert sim.observers_installed
         sim.remove_trace_observer(fn)
         assert not sim.observers_installed
-        assert sim._trace_fn is None
+        assert sim._instr is None
 
     def test_span_observer_measures_wall_time(self, make_pingpong):
         sim = Simulation(seed=1)
