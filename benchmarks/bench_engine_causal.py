@@ -89,8 +89,9 @@ def test_eng6_causal_capture_overhead(report, perf_fields, tmp_path):
     perf_fields(causal, workload="causal_fabric", queue="heap",
                 events_per_second=causal_eps,
                 causal_over_bare=causal_eps / bare_eps)
-    # Capture off leaves the bare path bare: no compiled instrumented
-    # dispatcher, no causal hook, and the deterministic event count.
+    # Capture off adds nothing to the kernel loop: no compiled
+    # observer dispatcher, no causal hook, and the deterministic event
+    # count.
     assert bare_sim._instr is None
     assert bare_sim._causal is None
     assert bare.events_executed == causal.events_executed \

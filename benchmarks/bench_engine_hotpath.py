@@ -6,7 +6,7 @@ the same-frequency clocked-fabric shape that dominates architectural
 models: hundreds of components all ticking at the core clock.  This bench measures that
 shape — 1000 components x 200 ticks — for both pending-event-set
 implementations with the arbiter enabled (the default) and disabled
-(``REPRO_CLOCK_ARBITER=0``, the pre-PR per-clock scheduling path), and
+(``clock_arbiter=False``, the per-clock scheduling path), and
 asserts the headline claim: the arbiter is at least 2x faster on the
 heap queue.  Records append to the ``engine_throughput`` trajectory
 (``BENCH_engine_throughput.json``) alongside ENG-1's, distinguished by
@@ -27,13 +27,10 @@ N_COMPONENTS = 1_000
 N_TICKS = 200
 
 
-def _set_arbiter(monkeypatch, enabled: bool) -> None:
-    monkeypatch.setenv("REPRO_CLOCK_ARBITER", "1" if enabled else "0")
-
-
-def big_fabric(queue, n_components=N_COMPONENTS, n_ticks=N_TICKS):
+def big_fabric(queue, n_components=N_COMPONENTS, n_ticks=N_TICKS,
+               clock_arbiter=True):
     """The 1k-component same-frequency fabric the PR is measured on."""
-    sim = Simulation(seed=1, queue=queue,
+    sim = Simulation(seed=1, queue=queue, clock_arbiter=clock_arbiter,
                      queue_kwargs={"bin_width": 1000} if queue == "binned" else None)
 
     class Ticker(Component):
@@ -54,11 +51,9 @@ def big_fabric(queue, n_components=N_COMPONENTS, n_ticks=N_TICKS):
 @pytest.mark.parametrize("queue", ["heap", "binned"])
 @pytest.mark.parametrize("arbiter", ["on", "off"])
 def test_eng2_fabric_arbiter_ablation(benchmark, queue, arbiter, report,
-                                      perf_fields, monkeypatch):
-    _set_arbiter(monkeypatch, arbiter == "on")
-
+                                      perf_fields):
     def run():
-        sim = big_fabric(queue)
+        sim = big_fabric(queue, clock_arbiter=arbiter == "on")
         return sim.run()
 
     result = benchmark(run)
@@ -73,7 +68,7 @@ def test_eng2_fabric_arbiter_ablation(benchmark, queue, arbiter, report,
     assert result.events_executed == N_COMPONENTS * N_TICKS
 
 
-def test_eng2_arbiter_speedup(report, perf_fields, monkeypatch):
+def test_eng2_arbiter_speedup(report, perf_fields):
     """The PR 4 acceptance gate: >= 2x events/s, arbiter on vs off.
 
     Machine-independent (a ratio of two runs on the same box), so it can
@@ -82,10 +77,9 @@ def test_eng2_arbiter_speedup(report, perf_fields, monkeypatch):
     """
 
     def best_eps(enabled: bool) -> float:
-        _set_arbiter(monkeypatch, enabled)
         best = 0.0
         for _ in range(3):
-            sim = big_fabric("heap")
+            sim = big_fabric("heap", clock_arbiter=enabled)
             result = sim.run()
             assert result.events_executed == N_COMPONENTS * N_TICKS
             best = max(best, result.events_per_second)
@@ -108,7 +102,7 @@ def test_eng2_arbiter_speedup(report, perf_fields, monkeypatch):
     )
 
 
-def test_eng2_pingpong_no_regression(report, perf_fields, monkeypatch):
+def test_eng2_pingpong_no_regression(report, perf_fields):
     """Arbiter machinery must not tax clock-free workloads.
 
     A pure link-event ping-pong never touches the arbiter; on/off should
@@ -119,10 +113,9 @@ def test_eng2_pingpong_no_regression(report, perf_fields, monkeypatch):
     from bench_engine_throughput import pingpong_machine
 
     def best_eps(enabled: bool) -> float:
-        _set_arbiter(monkeypatch, enabled)
         best = 0.0
         for _ in range(3):
-            sim = pingpong_machine("heap", 20_000)
+            sim = pingpong_machine("heap", 20_000, clock_arbiter=enabled)
             result = sim.run()
             best = max(best, result.events_per_second)
         return best

@@ -35,9 +35,9 @@ class _Pinger(Component):
             self.send("io", event)
 
 
-def pingpong_machine(queue, n_events):
+def pingpong_machine(queue, n_events, clock_arbiter=True):
     # Each side receives the ball n_events/2 times: n_events deliveries.
-    sim = Simulation(seed=1, queue=queue)
+    sim = Simulation(seed=1, queue=queue, clock_arbiter=clock_arbiter)
     a = _Pinger(sim, "a", Params({"limit": n_events // 2}))
     b = _Pinger(sim, "b", Params({"limit": n_events // 2}))
     sim.connect(a, "io", b, "io", latency="5ns")

@@ -82,6 +82,21 @@ def read_shard(path: Union[str, Path],
     return pickle.loads(blob)
 
 
+def write_rank_shard(psim: ParallelSimulation, rank: int,
+                     path: Union[str, Path]) -> Dict[str, Any]:
+    """Capture ``rank``'s engine state and write it as a shard file.
+
+    Must run where the live rank lives (the parent for the serial
+    backend, the owning worker for processes).  Returns the shard
+    metadata (``sha256``, ``size``) plus the rank's ``now``.
+    """
+    state = capture_sim_state(psim._sims[rank],
+                              send_seq=psim._send_seq[rank][0])
+    meta = write_shard(path, state)
+    meta["now"] = state["meta"]["now"]
+    return meta
+
+
 def _lineage_summary(lineage: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     """Record where a restored engine came from, capping nesting depth."""
     if lineage is None:
@@ -171,10 +186,7 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
         if backend is not None:
             meta = backend.snapshot_rank(rank, str(shard))
         else:
-            state = capture_sim_state(psim._sims[rank],
-                                      send_seq=psim._send_seq[rank][0])
-            meta = write_shard(shard, state)
-            meta["now"] = state["meta"]["now"]
+            meta = write_rank_shard(psim, rank, shard)
         shards.append({"file": shard.name, "rank": rank, **meta})
     # Parent-side payload.  Under the processes backend the parent's
     # sim objects hold stale queues but its sync strategy and sync.*

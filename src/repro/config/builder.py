@@ -118,7 +118,7 @@ def _check_required_ports(instances: Dict[str, Component]) -> None:
 
 def build(graph: ConfigGraph, *, sim: Optional[Simulation] = None,
           seed: int = 1, queue: str = "heap", verbose: bool = False,
-          clock_arbiter: Optional[bool] = None,
+          clock_arbiter: bool = True,
           validate_events: bool = False) -> Simulation:
     """Instantiate every component and link of ``graph`` into one Simulation.
 
@@ -158,7 +158,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
                    strategy: str = "linear", seed: int = 1,
                    queue: str = "heap", backend: str = "serial",
                    verbose: bool = False,
-                   clock_arbiter: Optional[bool] = None,
+                   clock_arbiter: bool = True,
                    validate_events: bool = False) -> ParallelSimulation:
     """Partition ``graph`` across ``num_ranks`` and instantiate per rank.
 

@@ -18,20 +18,20 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
   - events sent over cross-rank links must be picklable (slotted
     payload-only events are; events carrying live object references
     are not, and raise a descriptive error);
-  - per-event observers (trace/span/heartbeat) are detached inside the
-    workers, but observability survives the boundary through the
-    rank-local plan (``psim.rank_plan``, duck-typed — see
-    :mod:`repro.obs.rank_stream`): workers re-attach a lightweight
-    recorder that writes per-rank JSONL shards or ships bounded record
-    batches back over the pipes, and profiler buckets plus rank
-    counters harvest back at ``finalize()``.  Observers no plan entry
-    covers raise a one-time :class:`RankObservabilityWarning` instead
-    of being silently dropped.  Parent-side epoch observers —
-    telemetry, progress, Chrome trace epoch lanes — keep working
-    regardless;
+  - per-event observers attached directly to a rank simulation are
+    detached inside the workers with a one-time
+    :class:`RankObservabilityWarning`;
   - parent-side component *objects* are not synchronized back, but
     their registered statistics are (adopted in ``finalize()``), so
     ``stat_values()`` equivalence holds across all backends.
+
+Per-rank observability takes one path on both backends.  When the run
+carries an active rank plan (``psim.rank_plan``, duck-typed — see
+:mod:`repro.obs.rank_stream`), the backend builds one rank recorder per
+rank where that rank runs (in-process for ``serial``, inside each
+worker for ``processes``), hands it every :class:`RankStep`, and routes
+the records it returns to ``plan.deliver`` after each epoch and its
+harvest to ``plan.absorb`` at ``finalize()``.
 
 The same substrate names power :class:`JobPool`, the coarse-grained
 variant used by :func:`repro.dse.sweep` to evaluate independent design
@@ -62,13 +62,13 @@ class RankObservabilityWarning(UserWarning):
     """A per-event observer was detached at the process-fork boundary.
 
     Raised (once per unique observer set) by :class:`ProcessesBackend`
-    when a rank simulation carries trace/span/heartbeat observers that
-    no rank-local plan covers: their sinks live in the parent process,
-    so inside the forked worker they would silently record into memory
-    that dies with the worker.  Attach through ``repro.obs`` (profiler,
-    telemetry with a metrics path) to get rank-local re-attachment, and
-    use ``python -m repro obs merge`` on the per-rank shards for the
-    merged post-hoc view.
+    when a rank simulation carries trace/span/heartbeat observers at
+    fork time: their sinks live in the parent process, so inside the
+    forked worker they would silently record into memory that dies with
+    the worker.  Attach through ``repro.obs`` instead (its instruments
+    register on the rank plan and work on every backend), and use
+    ``python -m repro obs merge`` on the per-rank shards for the merged
+    post-hoc view.
     """
 
 
@@ -97,9 +97,9 @@ class RankStep:
     primaries_pending: int
     last_event_time: SimTime
     now: SimTime
-    #: bounded batch of rank-local telemetry records riding the pipe
-    #: alongside the step result (processes backend, shard-less mode);
-    #: drained by the parent before the step reaches the sync strategy.
+    #: rank recorder records bound for the parent (riding the pipe
+    #: under processes); handed to the rank plan before the step
+    #: reaches the sync strategy.
     obs_records: Optional[List[Dict[str, Any]]] = None
 
 
@@ -174,6 +174,45 @@ def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
                     last_event_time=sim.last_event_time, now=sim.now)
 
 
+def start_recorder(psim: "ParallelSimulation", rank: int) -> Optional[Any]:
+    """Build ``rank``'s recorder from the run's rank plan, where the
+    rank runs; None when no plan is attached or it has nothing to do.
+
+    Observability must never fail a run: a recorder that cannot start
+    degrades to a bare rank.
+    """
+    plan = psim.rank_plan
+    if plan is None:
+        return None
+    try:
+        return plan.rank_recorder(psim, rank)
+    except Exception:  # pragma: no cover - defensive
+        import sys
+        import traceback
+
+        print(f"repro: rank {rank} telemetry recorder failed to start; "
+              f"continuing without it:\n{traceback.format_exc()}",
+              file=sys.stderr)
+        return None
+
+
+def record_step(recorder: Optional[Any], step: RankStep,
+                epoch_end: SimTime) -> Optional[Any]:
+    """Hand ``step`` to ``recorder``; returns the recorder to keep using,
+    or None once it failed (a failed recorder is closed and dropped)."""
+    if recorder is None:
+        return None
+    try:
+        recorder.on_step(step, epoch_end)
+    except Exception:  # pragma: no cover - defensive
+        try:
+            recorder.close()
+        except Exception:
+            pass
+        return None
+    return recorder
+
+
 class ExecutionBackend:
     """Interface: execute epoch windows for every rank of a parallel run."""
 
@@ -218,15 +257,20 @@ class ExecutionBackend:
         Returns the shard metadata dict (``sha256``, ``size``) recorded
         in the snapshot manifest.
         """
-        from ..ckpt.state import capture_sim_state
-        from ..ckpt.snapshot import write_shard
+        from ..ckpt.snapshot import write_rank_shard
 
-        psim = self.psim
-        state = capture_sim_state(psim._sims[rank],
-                                  send_seq=psim._send_seq[rank][0])
-        meta = write_shard(shard_path, state)
-        meta["now"] = state["meta"]["now"]
-        return meta
+        return write_rank_shard(self.psim, rank, shard_path)
+
+    def _deliver_records(self, steps: List[RankStep]) -> None:
+        """Hand the recorders' parent-bound records to the rank plan
+        before the sync strategy ever sees the steps."""
+        plan = self.psim.rank_plan
+        if plan is None:
+            return
+        for rank, step in enumerate(steps):
+            if step.obs_records:
+                plan.deliver(rank, step.obs_records)
+                step.obs_records = None
 
     def close(self) -> None:
         """Release execution resources.  Safe to call repeatedly."""
@@ -237,18 +281,44 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
+    def __init__(self, psim: "ParallelSimulation"):
+        super().__init__(psim)
+        #: one rank recorder (or None) per rank, built by start()
+        self._recorders: List[Optional[Any]] = []
+
+    def start(self) -> None:
+        if not self._recorders:
+            self._recorders = [start_recorder(self.psim, rank)
+                               for rank in range(self.psim.num_ranks)]
+
     def step(self, epoch_end: SimTime,
              deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
         psim = self.psim
         for rank, entries in enumerate(deliveries):
             if entries:
                 deliver_cross_rank(psim, rank, entries)
+        recorders = self._recorders
         steps = []
         for rank, sim in enumerate(psim._sims):
             result = _timed_step(sim, epoch_end)
             result.outbox = drain_outbox(psim, rank)
+            recorders[rank] = record_step(recorders[rank], result, epoch_end)
             steps.append(result)
+        self._deliver_records(steps)
         return steps
+
+    def finalize(self) -> None:
+        plan = self.psim.rank_plan
+        for rank, recorder in enumerate(self._recorders):
+            if recorder is not None:
+                plan.absorb(rank, recorder.finish())
+        self._recorders = []
+
+    def close(self) -> None:
+        for recorder in self._recorders:
+            if recorder is not None:
+                recorder.close()
+        self._recorders = []
 
 
 def _send_msg(conn, msg: Any) -> None:
@@ -311,38 +381,31 @@ class ProcessesBackend(ExecutionBackend):
             self._conns.append(parent_conn)
 
     def _warn_uncovered_observers(self) -> None:
-        """Satellite guard: detaching an observer must not be silent.
+        """Detaching an observer at the fork boundary must not be silent.
 
-        Workers strip every per-event observer at the fork boundary.
-        Observers attached through ``repro.obs`` carry a
-        ``__rank_local__`` marker ("profile" re-attaches always; "span"
-        re-attaches when the rank plan has a record sink) and keep
-        working rank-locally; anything else is about to lose its data,
-        so name it in a structured one-time warning.
+        Workers strip every per-event observer attached to a rank
+        simulation (``repro.obs`` instruments attach none: they work
+        through the rank plan), so name each one in a structured
+        one-time warning.
         """
-        plan = getattr(self.psim, "rank_plan", None)
-        span_sink = bool(plan is not None
-                         and getattr(plan, "has_record_sink", False))
         doomed: List[str] = []
         for rank, sim in enumerate(self.psim._sims):
             candidates: List[Any] = list(sim._trace_observers)
             candidates.extend(sim._span_observers)
             candidates.extend(sim._heartbeats)
             for fn in candidates:
-                marker = getattr(fn, "__rank_local__", None)
-                if marker == "profile" or (marker == "span" and span_sink):
-                    continue
                 doomed.append(f"rank {rank}: {_describe_observer(fn)}")
         if doomed:
             warnings.warn(
-                "processes backend: detaching per-event observers that "
-                "cannot be re-attached rank-locally — "
+                "processes backend: detaching per-event observers "
+                "attached to rank simulations — "
                 + "; ".join(sorted(set(doomed)))
                 + ".  Their sinks live in the parent process and would "
                 "record into memory that dies with the workers.  Attach "
-                "a TelemetryRecorder with a metrics path to capture "
-                "per-rank JSONL shards instead, then merge post-hoc "
-                "with 'python -m repro obs merge <metrics.jsonl>'.",
+                "the repro.obs instruments to the ParallelSimulation "
+                "instead (a TelemetryRecorder with a metrics path writes "
+                "per-rank JSONL shards), then merge post-hoc with "
+                "'python -m repro obs merge <metrics.jsonl>'.",
                 RankObservabilityWarning,
                 stacklevel=3,
             )
@@ -364,15 +427,7 @@ class ProcessesBackend(ExecutionBackend):
             if msg[0] == "error":
                 raise msg[1]
             steps.append(msg[1])
-        plan = getattr(self.psim, "rank_plan", None)
-        if plan is not None:
-            # Bounded rank-local record batches ride the pipe alongside
-            # the step results (shard-less mode); hand them to the plan
-            # before the sync strategy ever sees the steps.
-            for rank, step in enumerate(steps):
-                if step.obs_records:
-                    plan.deliver(rank, step.obs_records)
-                    step.obs_records = None
+        self._deliver_records(steps)
         return steps
 
     def finalize(self) -> None:
@@ -414,7 +469,7 @@ class ProcessesBackend(ExecutionBackend):
             # when the name is taken, which is exactly that rule.
             for name, remote in (payload.get("engine_stats") or {}).items():
                 sim.engine_stats._register(name, remote)
-            plan = getattr(self.psim, "rank_plan", None)
+            plan = self.psim.rank_plan
             if plan is not None:
                 plan.absorb(rank, payload.get("obs"))
 
@@ -513,26 +568,14 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn) -> None:
     # Per-event observers cannot usefully cross the process boundary
     # (their sinks — files, aggregation dicts — live in the parent);
     # detach them so the kernel loop dispatches handlers directly.  The
-    # parent warned about any observer the rank plan does not cover.
+    # parent warned about each one.
     sim._trace_observers = []
     sim._span_observers = []
     sim._heartbeats = {}
     sim._rebuild_instr()
-    # Re-attach the rank-local recorder the plan describes (JSONL shard
-    # or pipe batches, span buckets, heartbeats).  Observability must
-    # never kill a worker: creation failures degrade to a bare rank.
-    recorder = None
-    plan = getattr(psim, "rank_plan", None)
+    recorder = start_recorder(psim, rank)
+    plan = psim.rank_plan
     if plan is not None:
-        try:
-            recorder = plan.worker_recorder(psim, rank)
-        except Exception:  # pragma: no cover - defensive
-            import sys
-            import traceback as _tb
-            print(f"repro: rank {rank} telemetry recorder failed to "
-                  f"start; continuing without it:\n{_tb.format_exc()}",
-                  file=sys.stderr)
-            recorder = None
         # Watchdog stack dumps: register SIGUSR1 -> faulthandler so the
         # parent can extract this worker's stack even while it is wedged
         # inside a handler.
@@ -566,11 +609,7 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn) -> None:
             return
         result.outbox = drain_outbox(psim, rank)
         nonlocal recorder
-        if recorder is not None:
-            try:
-                recorder.on_step(result, epoch_end)
-            except Exception:  # pragma: no cover - defensive
-                recorder = None
+        recorder = record_step(recorder, result, epoch_end)
         try:
             _send_msg(conn, ("ok", result))
         except Exception as exc:
@@ -586,14 +625,10 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn) -> None:
         if cmd == "snapshot":
             _, shard_path = msg
             try:
-                from ..ckpt.state import capture_sim_state
-                from ..ckpt.snapshot import write_shard
+                from ..ckpt.snapshot import write_rank_shard
 
-                state = capture_sim_state(
-                    sim, send_seq=psim._send_seq[rank][0])
-                meta = write_shard(shard_path, state)
-                meta["now"] = state["meta"]["now"]
-                _send_msg(conn, ("ok", meta))
+                _send_msg(conn, ("ok", write_rank_shard(psim, rank,
+                                                        shard_path)))
             except Exception as exc:
                 send_error(exc)
         elif cmd == "finish":
@@ -634,6 +669,10 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn) -> None:
             elif not handle_control(msg):
                 return
     finally:
+        if recorder is not None:
+            recorder.close()
+        if plan is not None:
+            plan.close_causal()
         try:
             conn.close()
         except OSError:  # pragma: no cover

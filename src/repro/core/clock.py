@@ -31,8 +31,8 @@ registration order, hence ascending seq) used to.
 arbiter skips inactive members), reactivate realigns the member's due
 time and at most re-arms the shared chain event.  The per-clock
 generation stamp semantics are preserved for standalone clocks (the
-arbiter can be disabled via ``Simulation(clock_arbiter=False)`` or the
-``REPRO_CLOCK_ARBITER=0`` environment knob).
+arbiter can be disabled via ``Simulation(clock_arbiter=False)``, which
+keeps the per-clock scheme the equivalence tests compare against).
 """
 
 from __future__ import annotations
@@ -277,7 +277,8 @@ class ClockArbiter:
     # dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, event: _ArbiterTickEvent) -> None:
-        """Bare-path dispatch: fire due members, re-arm the chain.
+        """Dispatch with no observer attached: fire due members, re-arm
+        the chain.
 
         The kernel counts the popped record as one executed event; the
         extra ``fired - 1`` handler invocations are added to the

@@ -168,7 +168,7 @@ class ParallelSimulation:
 
     def __init__(self, num_ranks: int, *, seed: int = 1, queue: str = "heap",
                  backend: str = "serial", verbose: bool = False,
-                 clock_arbiter: Optional[bool] = None):
+                 clock_arbiter: bool = True):
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         if backend not in BACKENDS:
@@ -225,12 +225,10 @@ class ParallelSimulation:
         #: its finally block so failed runs never leak worker processes.
         self._backend: Optional[ExecutionBackend] = None
         #: rank-local observability plan (duck-typed; in practice a
-        #: :class:`repro.obs.rank_stream.RankStreamPlan`).  Instruments
-        #: that know how to survive the process boundary register here;
-        #: the processes backend re-attaches a rank-local recorder from
-        #: it inside every forked worker and harvests results back at
-        #: finalize.  None = nothing to re-attach (per-event observers
-        #: are then detached with a RankObservabilityWarning).
+        #: :class:`repro.obs.rank_stream.RankStreamPlan`).  The
+        #: ``repro.obs`` instruments register here; every backend builds
+        #: one rank recorder per rank from it, where the rank runs, and
+        #: harvests results back at finalize.  None = no recorder.
         self.rank_plan: Optional[Any] = None
         #: live-plane handle (duck-typed; in practice a
         #: :class:`repro.obs.live.LiveMetrics`).  Set by attach(); run()

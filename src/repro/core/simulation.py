@@ -17,7 +17,6 @@ of this from a :class:`~repro.config.graph.ConfigGraph` instead)::
 
 from __future__ import annotations
 
-import os
 import time as _wall_time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -91,17 +90,16 @@ class Simulation:
         Enables :meth:`Component.debug` tracing.
     clock_arbiter:
         Share one tick chain among same-(period, priority, phase) clocks
-        (see :class:`~repro.core.clock.ClockArbiter`).  Default
-        ``None`` reads the ``REPRO_CLOCK_ARBITER`` environment knob
-        (enabled unless set to ``0``/``off``/``false``/``no``); pass
-        ``True``/``False`` to force it.
+        (see :class:`~repro.core.clock.ClockArbiter`).  ``False`` keeps
+        one tick chain per clock, the reference the arbiter is tested
+        against.
     """
 
     def __init__(self, *, queue: str = "heap", seed: int = 1, rank: int = 0,
                  num_ranks: int = 1, rank_seed: Optional[int] = None,
                  verbose: bool = False,
                  queue_kwargs: Optional[Dict[str, Any]] = None,
-                 clock_arbiter: Optional[bool] = None):
+                 clock_arbiter: bool = True):
         self.now: SimTime = 0
         self.seed = seed
         self.rank = rank
@@ -118,12 +116,7 @@ class Simulation:
         self._components: Dict[str, Component] = {}
         self._links: List[Link] = []
         self._clocks: List[Clock] = []
-        if clock_arbiter is None:
-            clock_arbiter = os.environ.get(
-                "REPRO_CLOCK_ARBITER", "1").strip().lower() not in (
-                    "0", "off", "false", "no")
-        #: shared-tick-chain mode (see ClockArbiter); resolved once here
-        #: so forked rank workers inherit the parent's choice.
+        #: shared-tick-chain mode (see ClockArbiter)
         self.clock_arbiter_enabled = bool(clock_arbiter)
         #: one arbiter per (period, priority, phase residue) clock class
         self._arbiters: Dict[Tuple[SimTime, int, SimTime], ClockArbiter] = {}

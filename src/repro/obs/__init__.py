@@ -15,9 +15,9 @@ the *simulated machine*, which the statistics system covers):
   — the machine-readable perf-record plumbing (also used by the
   benchmark harness for ``BENCH_<exp>.json`` records);
 * :class:`RankStreamPlan` / :class:`RankRecorder`
-  (:mod:`repro.obs.rank_stream`) — per-rank telemetry that survives the
-  process boundary of the ``processes`` execution backend, writing one
-  JSONL shard per rank (``<metrics>.rank<k>``);
+  (:mod:`repro.obs.rank_stream`) — the one per-rank observability path
+  of a parallel run on every backend, writing one JSONL shard per rank
+  (``<metrics>.rank<k>``);
 * :func:`merge_trace` / :func:`merge_to_file` (:mod:`repro.obs.merge`)
   — stitch per-rank streams into one Perfetto trace with one lane per
   rank plus a sync lane;

@@ -16,9 +16,11 @@ Mapping:
 * **metadata (ph "M")** — process/thread naming.
 
 Timestamps are wall-clock microseconds since the exporter attached.
-Under the ``serial`` parallel backend rank epochs execute one after
-another in the calling thread; their spans reflect that (they do not
-overlap), which is itself a useful visual of the backend.
+On a parallel run the exporter is a sink of the rank stream
+(:mod:`repro.obs.rank_stream`): each rank's recorder stamps its
+``rank_epoch`` and ``span`` records where the rank runs, so under the
+``serial`` backend the rank epochs show one after another, as they
+executed.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 import json
 import time as _wall_time
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.parallel import EpochInfo, ParallelSimulation
+from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
-from .profiler import attribute_event
+from .rank_stream import span_record
 
 
 def build_trace_dict(events: List[Dict[str, Any]], *,
@@ -76,6 +78,46 @@ def flow_pair(*, flow_id: int, name: str, cat: str,
     ]
 
 
+def rank_trace_event(record: Dict[str, Any], ts_us: float,
+                     tid: Callable[[str], int]) -> Optional[Dict[str, Any]]:
+    """The "X" trace event for one rank-stream ``rank_epoch`` or
+    ``span`` record (None for other kinds).
+
+    ``ts_us`` is the record's start on the trace timeline and ``tid``
+    maps a lane label to its thread id on the record's rank.  Shared by
+    the live exporter and the post-hoc merge (:mod:`repro.obs.merge`).
+    """
+    kind = record.get("kind")
+    rank = int(record.get("rank", 0))
+    if kind == "rank_epoch":
+        return {
+            "ph": "X",
+            "name": f"epoch {record.get('epoch')}",
+            "cat": "epoch",
+            "ts": ts_us,
+            "dur": float(record.get("wall_s", 0.0)) * 1e6,
+            "pid": rank,
+            "tid": tid("[engine] epochs"),
+            "args": {"events": record.get("events"),
+                     "sent": record.get("sent"),
+                     "window_end_ps": record.get("window_end_ps"),
+                     "sim_ps": record.get("sim_ps")},
+        }
+    if kind == "span":
+        component = record.get("component", "<unknown>")
+        return {
+            "ph": "X",
+            "name": f"{component}.{record.get('handler', '?')}",
+            "cat": record.get("event", "-"),
+            "ts": ts_us,
+            "dur": float(record.get("dur_us", 0.0)),
+            "pid": rank,
+            "tid": tid(component),
+            "args": {"sim_ps": record.get("sim_ps")},
+        }
+    return None
+
+
 class ChromeTraceExporter:
     """Collect handler/epoch spans and write a ``trace.json``.
 
@@ -87,25 +129,22 @@ class ChromeTraceExporter:
     max_events:
         Hard cap on collected span events — busy simulations produce
         millions of spans and the JSON grows linearly.  Once hit, new
-        spans are dropped and ``dropped_events`` counts them.
-    min_duration_us:
-        Skip spans shorter than this (0 = keep all); a cheap way to
-        keep files small while preserving the expensive handlers.
+        spans are dropped and ``dropped_events`` counts them.  On a
+        parallel run each rank also caps its span rows at the rank
+        plan's ``span_limit`` (counted in ``obs.rank_dropped``).
     """
 
     def __init__(self, path: Union[str, Path, None] = None, *,
-                 max_events: int = 1_000_000, min_duration_us: float = 0.0):
+                 max_events: int = 1_000_000):
         if max_events < 1:
             raise ValueError("max_events must be >= 1")
         self.path = Path(path) if path is not None else None
         self.max_events = max_events
-        self.min_duration_us = min_duration_us
         self.events: List[Dict[str, Any]] = []
         self.dropped_events = 0
         self._span_count = 0  # "X" records only; metadata is uncapped
         self._t0 = _wall_time.perf_counter()
-        self._observers: List[Tuple[Simulation, Any]] = []
-        self._epoch_target: Union[ParallelSimulation, None] = None
+        self._target: Union[Simulation, ParallelSimulation, None] = None
         self._plan = None
         self._tids: Dict[Tuple[int, str], int] = {}
         self._named_pids: set = set()
@@ -114,39 +153,25 @@ class ChromeTraceExporter:
     # attach
     # ------------------------------------------------------------------
     def attach(self, target: Union[Simulation, ParallelSimulation]) -> "ChromeTraceExporter":
+        """Collect ``target``'s spans: a sequential run through a span
+        observer, a parallel run as a sink of its rank plan."""
         self._t0 = _wall_time.perf_counter()
+        self._target = target
         if isinstance(target, ParallelSimulation):
-            self._epoch_target = target
-            target.add_epoch_observer(self._on_epoch)
-            sims = [target.rank_sim(r) for r in range(target.num_ranks)]
-            # Under the processes backend the in-process span observers
-            # below never fire in the parent; ask the rank plan to write
-            # span records rank-locally instead (shards, or pipe batches
-            # routed back through add_remote_span).
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
             self._plan.register_exporter(self)
         else:
-            sims = [target]
-        for sim in sims:
-            fn = self._make_span_observer(sim.rank)
-            # Rank-local coverage exists only when the plan has a record
-            # sink — checked at fork time by the processes backend.
-            fn.__rank_local__ = "span"
-            self._observers.append((sim, fn))
-            sim.add_span_observer(fn)
+            target.add_span_observer(self._on_span)
         return self
 
     def detach(self) -> None:
-        for sim, fn in self._observers:
-            sim.remove_span_observer(fn)
-        self._observers = []
-        if self._epoch_target is not None:
-            self._epoch_target.remove_epoch_observer(self._on_epoch)
-            self._epoch_target = None
+        target, self._target = self._target, None
         if self._plan is not None:
             self._plan.unregister_exporter(self)
             self._plan = None
+        elif target is not None:
+            target.remove_span_observer(self._on_span)
 
     # ------------------------------------------------------------------
     # collection
@@ -169,90 +194,28 @@ class ChromeTraceExporter:
             })
         return tid
 
-    def _make_span_observer(self, rank: int):
-        perf = _wall_time.perf_counter
+    def _on_span(self, time, handler, event, wall_seconds) -> None:
+        self.add_rank_record(span_record(self._target.rank, time, handler,
+                                         event, wall_seconds))
 
-        def observe(time, handler, event, wall_seconds) -> None:
-            dur_us = wall_seconds * 1e6
-            if dur_us < self.min_duration_us:
-                return
-            if self._span_count >= self.max_events:
-                self.dropped_events += 1
-                return
-            self._span_count += 1
-            component, label = attribute_event(handler, event)
-            event_type = type(event).__name__ if event is not None else "-"
-            end_us = (perf() - self._t0) * 1e6
-            self.events.append({
-                "ph": "X",
-                "name": f"{component}.{label}",
-                "cat": event_type,
-                "ts": end_us - dur_us,
-                "dur": dur_us,
-                "pid": rank,
-                "tid": self._tid(rank, component),
-                "args": {"sim_ps": time, "event": event_type},
-            })
+    def add_rank_record(self, record: Dict[str, Any]) -> None:
+        """Add one rank-stream ``rank_epoch`` or ``span`` record.
 
-        return observe
-
-    def _on_epoch(self, info: EpochInfo) -> None:
-        now_us = (_wall_time.perf_counter() - self._t0) * 1e6
-        batch_start = now_us - info.wall_seconds * 1e6
-        offset = 0.0
-        serial = (self._epoch_target is not None
-                  and self._epoch_target.backend == "serial")
-        for rank, wall in enumerate(info.per_rank_wall):
-            if self._span_count >= self.max_events:
-                self.dropped_events += 1
-                continue
-            self._span_count += 1
-            self.events.append({
-                "ph": "X",
-                "name": f"epoch {info.index} [{info.window_start}-{info.window_end}ps]",
-                "cat": "epoch",
-                "ts": batch_start + offset,
-                "dur": wall * 1e6,
-                "pid": rank,
-                "tid": self._tid(rank, "[engine] epochs"),
-                "args": {
-                    "events": info.per_rank_events[rank],
-                    "exchanged": info.exchanged_events,
-                    "barrier_wait_s": info.per_rank_barrier_wait[rank],
-                },
-            })
-            if serial:
-                offset += wall * 1e6
-
-    def add_remote_span(self, record: Dict[str, Any]) -> None:
-        """Convert one pipe-shipped rank-stream ``span`` record into a
-        trace event.
-
-        Rank workers stamp spans with raw ``perf_counter`` readings
+        Records stamp their start with a raw ``perf_counter`` reading
         (``mono_s``) — CLOCK_MONOTONIC, system-wide on Linux — so
-        subtracting this exporter's own ``_t0`` puts them on the same
-        timeline as the parent's epoch spans.
+        subtracting this exporter's own ``_t0`` puts every rank on one
+        timeline.
         """
-        dur_us = float(record.get("dur_us", 0.0))
-        if dur_us < self.min_duration_us:
-            return
         if self._span_count >= self.max_events:
             self.dropped_events += 1
             return
-        self._span_count += 1
         rank = int(record.get("rank", 0))
-        component = record.get("component", "<unknown>")
-        event_type = record.get("event", "-")
-        self.events.append({
-            "ph": "X",
-            "name": f"{component}.{record.get('handler', '?')}",
-            "cat": event_type,
-            "ts": (float(record["mono_s"]) - self._t0) * 1e6,
-            "dur": dur_us,
-            "pid": rank,
-            "tid": self._tid(rank, component),
-            "args": {"sim_ps": record.get("sim_ps"), "event": event_type},
-        })
+        event = rank_trace_event(
+            record, (float(record["mono_s"]) - self._t0) * 1e6,
+            lambda label: self._tid(rank, label))
+        if event is not None:
+            self._span_count += 1
+            self.events.append(event)
 
     # ------------------------------------------------------------------
     # output

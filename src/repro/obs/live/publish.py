@@ -4,24 +4,25 @@
 :class:`~repro.obs.telemetry.TelemetryRecorder`): it creates the
 segment, installs per-rank publishers wherever the rank kernels
 actually execute, and keeps the run slot fresh from the epoch observer.
-The publishing points are chosen so the bare-mode hot path stays
-untouched — nothing here adds a per-event observer:
+The publishing points are chosen so the hot path stays untouched —
+nothing here adds a per-event observer:
 
 * **kernel boundaries** — every rank :class:`Simulation` carries a
   ``_live_publisher`` slot the kernel loop checks once per invocation
   (state flips to *running* at entry, *waiting* at exit);
-* **epoch hook** — the parent's epoch observer republishes the run slot
-  and, for in-process backends, folds per-rank window wall time into
-  the rank slots;
-* **sampler thread** — a daemon thread republishing each locally owned
-  rank slot every ``interval_s`` seconds, which is what keeps event
-  counts and queue depths moving *mid-window* (and what lets the
-  watchdog see a hung handler: the sampler keeps stamping the slot
-  while the event count stops advancing).
+* **epoch hook** — on a parallel run each rank's recorder folds its
+  window wall time into its rank slot, and the parent's epoch observer
+  republishes the run slot;
+* **sampler thread** — a daemon thread republishing a rank slot every
+  ``interval_s`` seconds, which is what keeps event counts and queue
+  depths moving *mid-window* (and what lets the watchdog see a hung
+  handler: the sampler keeps stamping the slot while the event count
+  stops advancing).
 
-For the ``processes`` backend the parent only owns the run slot; each
-forked worker re-opens the segment by path and owns its rank slot
-(wired through :class:`~repro.obs.rank_stream.RankStreamPlan`).
+On a parallel run the parent owns only the run slot: each rank's
+recorder (:class:`~repro.obs.rank_stream.RankRecorder`, built in-process
+on ``serial`` and in the forked worker on ``processes``) re-opens the
+segment by path and owns its rank slot and sampler.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class LiveMetrics:
         self.segment: Optional[LiveSegment] = None
         self._target: Optional[Any] = None
         self._parallel = False
-        self._publishers: List[RankSlotWriter] = []
+        #: the rank slot writer of a sequential run (parallel runs'
+        #: rank slots belong to their rank recorders)
+        self._publisher: Optional[RankSlotWriter] = None
         self._sampler: Optional[SlotSampler] = None
         self._run_mutex = threading.Lock()
         self._start_mono = 0.0
@@ -126,13 +129,12 @@ class LiveMetrics:
         self._target = target
         self._parallel = isinstance(target, ParallelSimulation)
         num_ranks = target.num_ranks if self._parallel else 1
-        backend = target.backend if self._parallel else "serial"
         self._barrier = [0.0] * num_ranks
         self._start_mono = _wall_time.perf_counter()
         self.segment = LiveSegment.create(
             self.path, kind=KIND_RUN, slots=num_ranks,
             slot_size=RANK_SLOT_SIZE, run_size=run_slot_size(num_ranks),
-            backend=backend,
+            backend=target.backend if self._parallel else "serial",
             mode="parallel" if self._parallel else "sequential",
             limit_ps=self.limit_ps)
         if self._parallel:
@@ -145,23 +147,12 @@ class LiveMetrics:
             plan.live_interval_s = self.interval_s
             if self.watchdog_dumps:
                 plan.live_dump_base = str(self.path)
-            if backend != "processes":
-                # In-process backends: the parent owns every rank slot.
-                for rank, sim in enumerate(target._sims):
-                    pub = RankSlotWriter(self.segment, rank, sim)
-                    sim._live_publisher = pub
-                    self._publishers.append(pub)
-            # processes: workers open the segment by path and own their
-            # slots (RankRecorder, via the plan fields set above).
         else:
-            pub = RankSlotWriter(self.segment, 0, target)
-            target._live_publisher = pub
-            self._publishers.append(pub)
+            self._publisher = RankSlotWriter(self.segment, 0, target)
+            target._live_publisher = self._publisher
+            self._sampler = SlotSampler([self._publisher], self.interval_s,
+                                        extra_tick=self._sequential_tick)
         self._publish_run()
-        if self._publishers:
-            self._sampler = SlotSampler(self._publishers, self.interval_s,
-                                        extra_tick=self._sequential_tick
-                                        if not self._parallel else None)
         return self
 
     def detach(self) -> None:
@@ -169,20 +160,15 @@ class LiveMetrics:
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
-        if target is not None:
-            if self._parallel:
-                target.remove_epoch_observer(self._on_epoch)
-                if getattr(target, "live", None) is self:
-                    target.live = None
-                sims = target._sims
-            else:
-                sims = [target]
-            for sim in sims:
-                if getattr(sim, "_live_publisher", None) in self._publishers:
-                    sim._live_publisher = None
-        for pub in self._publishers:
-            pub.close()
-        self._publishers = []
+        if target is not None and self._parallel:
+            target.remove_epoch_observer(self._on_epoch)
+            if getattr(target, "live", None) is self:
+                target.live = None
+        if self._publisher is not None:
+            if getattr(target, "_live_publisher", None) is self._publisher:
+                target._live_publisher = None
+            self._publisher.close()
+            self._publisher = None
         if self.segment is not None:
             self.segment.close()
             self.segment = None
@@ -223,10 +209,6 @@ class LiveMetrics:
         for rank, wait in enumerate(info.per_rank_barrier_wait):
             if rank < len(self._barrier):
                 self._barrier[rank] += wait
-        for rank, pub in enumerate(self._publishers):
-            if rank < len(info.per_rank_wall):
-                pub.record_step(info.per_rank_wall[rank])
-                pub.publish()
         self._publish_run()
 
     def _sequential_tick(self) -> None:

@@ -1,9 +1,10 @@
 """Cross-rank trace merge: per-rank telemetry shards → one Perfetto trace.
 
-A ``--backend processes`` run with ``--metrics out.jsonl`` leaves
-behind the parent stream plus one rank-local shard per worker
-(``out.jsonl.rank<k>``, written by :mod:`repro.obs.rank_stream`).  Each
-stream is self-consistent but none shows the whole run.  This module
+A parallel run with ``--metrics out.jsonl`` leaves behind the parent
+stream plus one rank-local shard per rank (``out.jsonl.rank<k>``,
+written by each rank's recorder in :mod:`repro.obs.rank_stream`, on
+either backend).  Each stream is self-consistent but none shows the
+whole run.  This module
 stitches them into a single Chrome Trace Event file:
 
 * **one lane (pid) per rank** — epoch-execution spans from the rank's
@@ -21,10 +22,10 @@ readings (``mono_s``) — CLOCK_MONOTONIC is system-wide on Linux, so the
 streams share a timebase; the merge subtracts the minimum ``mono_s``
 seen anywhere so the merged trace starts at t=0.
 
-Runs without shards (the serial backend, or shard-less pipe mode
-where rank records land inline in the parent stream) still merge: rank
-lanes are synthesized from the parent's ``per_rank_wall_s`` when no
-rank-local epoch records exist.
+Rank records that landed inline in the parent stream (a recorder
+without a metrics path) merge the same way as shard records.  Streams
+with no rank-local epoch records at all still merge: rank lanes are
+synthesized from the parent's ``per_rank_wall_s``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .chrome_trace import build_trace_dict, flow_pair
+from .chrome_trace import build_trace_dict, flow_pair, rank_trace_event
 
 _RANK_KINDS = ("rank_start", "rank_epoch", "rank_sample", "span", "rank_end")
 
@@ -76,8 +77,8 @@ class RunArtifacts:
 
     ``main`` is the parent stream (``run_start``/``sample``/``epoch``/
     ``run_end``); ``rank_records`` maps each rank to its rank-stream
-    records, whether they came from a shard file or arrived inline over
-    the pipes in shard-less mode.
+    records, whether they came from a shard file or arrived inline in
+    the parent stream (a recorder without a metrics path).
     """
 
     def __init__(self, metrics_path: Union[str, Path]):
@@ -95,15 +96,15 @@ class RunArtifacts:
         self.shards = find_rank_shards(self.metrics_path)
         for rank, shard in self.shards.items():
             self.rank_records.setdefault(rank, []).extend(load_stream(shard))
-        # Degraded-run detection: a processes run that streamed rank
-        # records should have a complete stream (ending in rank_end) for
-        # every rank named by run_start.  A crashed or still-running
-        # worker leaves a missing or truncated shard; merge the rest and
-        # say so once, instead of failing (or silently lying about) the
-        # whole merge.
+        # Degraded-run detection: a run that streamed rank records
+        # should have a complete stream (ending in rank_end) for every
+        # rank named by run_start.  A failed run or a crashed or
+        # still-running worker leaves a missing or truncated shard;
+        # merge the rest and say so once, instead of failing (or
+        # silently lying about) the whole merge.
         self.missing_ranks: List[int] = []
         self.truncated_ranks: List[int] = []
-        if self.backend == "processes" and self.rank_records:
+        if self.rank_records:
             expected = int(self.run_start.get("ranks", 0) or 0)
             for rank in range(expected):
                 records = self.rank_records.get(rank)
@@ -217,35 +218,17 @@ def merge_trace(artifacts: RunArtifacts, *,
     ranks_with_epochs: set = set()
     for rank in sorted(artifacts.rank_records):
         lane = f"rank {rank}"
+
+        def lane_tid(label: str, _rank: int = rank, _lane: str = lane) -> int:
+            return tid(_rank, label, _lane)
+
         for record in artifacts.rank_records[rank]:
             kind = record.get("kind")
-            if kind == "rank_epoch":
-                ranks_with_epochs.add(rank)
-                events.append({
-                    "ph": "X",
-                    "name": f"epoch {record.get('epoch')}",
-                    "cat": "epoch",
-                    "ts": us(record["mono_s"]),
-                    "dur": float(record.get("wall_s", 0.0)) * 1e6,
-                    "pid": rank,
-                    "tid": tid(rank, "[engine] epochs", lane),
-                    "args": {"events": record.get("events"),
-                             "sent": record.get("sent"),
-                             "window_end_ps": record.get("window_end_ps"),
-                             "sim_ps": record.get("sim_ps")},
-                })
-            elif kind == "span":
-                component = record.get("component", "<unknown>")
-                events.append({
-                    "ph": "X",
-                    "name": f"{component}.{record.get('handler', '?')}",
-                    "cat": record.get("event", "-"),
-                    "ts": us(record["mono_s"]),
-                    "dur": float(record.get("dur_us", 0.0)),
-                    "pid": rank,
-                    "tid": tid(rank, component, lane),
-                    "args": {"sim_ps": record.get("sim_ps")},
-                })
+            if kind in ("rank_epoch", "span"):
+                if kind == "rank_epoch":
+                    ranks_with_epochs.add(rank)
+                events.append(rank_trace_event(record, us(record["mono_s"]),
+                                               lane_tid))
             elif kind == "rank_sample":
                 tid(rank, "[engine] epochs", lane)  # ensure pid named
                 events.append({
@@ -257,8 +240,8 @@ def merge_trace(artifacts: RunArtifacts, *,
                     "args": {"queued": record.get("queued", 0)},
                 })
 
-    # Ranks with no rank-local epoch records (the serial backend,
-    # missing shard): synthesize their epoch lane from the parent's
+    # Ranks with no rank-local epoch records (missing shard, a stream
+    # written without a rank recorder): synthesize their epoch lane from the parent's
     # per-rank walls so every rank still gets a lane.
     parent_epochs = artifacts.epochs
     for rank in range(num_ranks):
@@ -379,8 +362,8 @@ def _causal_flows(artifacts: RunArtifacts, us, tid) -> Tuple[List[Dict[str, Any]
     simulated time (``window_end_ps``) onto the wall-clock span of the
     epoch that executed it, and the arrow endpoints are pinned inside
     those spans so Perfetto binds them.  Ranks without ``rank_epoch``
-    records (the serial backend) have no wall-clock anchor and
-    contribute no arrows.
+    records (a run without a metrics path) have no wall-clock anchor
+    and contribute no arrows.
     """
     from .causal import find_causal_shards
 

@@ -94,8 +94,11 @@ class HandlerProfiler:
     Parameters
     ----------
     target:
-        A :class:`Simulation` or :class:`ParallelSimulation` (attaches
-        to every rank; rows carry the rank index).
+        A :class:`Simulation` or :class:`ParallelSimulation`.  On a
+        parallel run the profiler registers on the rank plan: each rank
+        recorder runs a rank-local profiler with the same stride, and
+        its buckets are merged in when the run finishes (rows carry the
+        rank index).
     sample_every:
         Time every Nth event (1 = all).  Counts stay exact; wall time
         is scaled up by the stride so totals remain comparable.
@@ -109,24 +112,15 @@ class HandlerProfiler:
         self.target = target
         # (rank, component, handler, event_type) -> [count, timed, wall]
         self._buckets: Dict[Tuple[int, str, str, str], List[float]] = {}
-        self._observers = []
+        self._observer = None
         self._plan = None
         if isinstance(target, ParallelSimulation):
-            sims = [target.rank_sim(r) for r in range(target.num_ranks)]
-            # Register on the rank plan so a processes-backend run
-            # rebuilds the buckets rank-locally and harvests them back
-            # (the in-process observers below then never fire there).
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
             self._plan.register_profiler(self)
         else:
-            sims = [target]
-        for sim in sims:
-            fn = self._make_observer(sim.rank)
-            # Covered rank-locally in forked workers — don't warn on it.
-            fn.__rank_local__ = "profile"
-            self._observers.append((sim, fn))
-            sim.add_span_observer(fn)
+            self._observer = self._make_observer(target.rank)
+            target.add_span_observer(self._observer)
 
     def _make_observer(self, rank: int):
         buckets = self._buckets
@@ -151,24 +145,17 @@ class HandlerProfiler:
         return observe
 
     def detach(self) -> None:
-        for sim, fn in self._observers:
-            sim.remove_span_observer(fn)
-        self._observers = []
+        if self._observer is not None:
+            self.target.remove_span_observer(self._observer)
+            self._observer = None
         if self._plan is not None:
             self._plan.unregister_profiler(self)
             self._plan = None
 
-    def absorb_remote_buckets(self, rank: int, buckets: Dict[Tuple[str, str, str],
-                                                             List[float]]) -> None:
-        """Merge a worker's rank-local ``(component, handler, event type)``
-        buckets, harvested over the process boundary, into this profiler.
-
-        Workers time every matched event (no sampling stride), so counts
-        and timed counts arrive equal; merging keeps scaling correct.
-        """
-        for (component, label, event_type), (count, timed, wall) in \
-                buckets.items():
-            key = (rank, component, label, event_type)
+    def absorb_buckets(self, buckets: Dict[Tuple[int, str, str, str],
+                                           List[float]]) -> None:
+        """Merge a rank-local profiler's buckets into this profiler."""
+        for key, (count, timed, wall) in buckets.items():
             bucket = self._buckets.get(key)
             if bucket is None:
                 bucket = [0, 0, 0.0]

@@ -46,18 +46,14 @@ class TelemetryRecorder:
         ``<metrics_path>.manifest.json`` when a metrics *path* was
         given; ``None`` otherwise (the manifest dict is still returned).
     sample_every_events:
-        Sequential runs: engine heartbeat period in executed events.
-    min_interval_s:
-        Drop samples/epoch records arriving sooner than this many
-        wall-clock seconds after the previous one (0 = keep all).
+        Engine heartbeat period in executed events (parallel runs: per
+        rank, for the ``rank_sample`` records).
     """
 
     def __init__(self, metrics_path: Union[str, Path, IO[str], None] = None,
                  manifest_path: Union[str, Path, None] = None, *,
-                 sample_every_events: int = 5_000,
-                 min_interval_s: float = 0.0):
+                 sample_every_events: int = 5_000):
         self.sample_every_events = sample_every_events
-        self.min_interval_s = min_interval_s
         self.records = []  # in-memory copy when no sink was given
         self.manifest: Optional[Dict[str, Any]] = None
         self._owns_sink = False
@@ -103,9 +99,9 @@ class TelemetryRecorder:
             record["ranks"] = target.num_ranks
             record["backend"] = target.backend
             record["sync"] = target.sync_strategy.describe()
-            # Join the rank plan so processes-backend workers write
-            # per-rank shards next to the stream (or, with no file
-            # sink, ship their records back over the pipes).
+            # Join the rank plan so every rank's recorder writes a
+            # shard next to the stream (or, with no file sink, sends
+            # its records back to be emitted inline).
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
             if self._path is not None:
@@ -148,17 +144,15 @@ class TelemetryRecorder:
     def emit_record(self, record: Dict[str, Any]) -> None:
         """Append an externally produced record to this stream.
 
-        The delivery path for rank-local records shipped over the
-        processes backend's pipes when the recorder has no file sink
-        (:meth:`RankStreamPlan.deliver` routes them here); they appear
-        inline in ``records`` alongside the parent's own samples.
+        The delivery path for rank records when the recorder has no
+        file sink (:meth:`RankStreamPlan.deliver` routes them here);
+        they appear inline in ``records`` alongside the parent's own
+        samples.
         """
         self._emit(record)
 
     def _on_heartbeat(self, sim: Simulation) -> None:
         wall = _wall_time.perf_counter() - self._t0
-        if wall - self._last_wall < self.min_interval_s:
-            return
         events = sim.events_executed
         d_wall = wall - self._last_wall
         d_events = events - self._last_events
@@ -187,8 +181,6 @@ class TelemetryRecorder:
 
     def _on_epoch(self, info: EpochInfo) -> None:
         wall = _wall_time.perf_counter() - self._t0
-        if wall - self._last_wall < self.min_interval_s:
-            return
         self._emit({
             "kind": "epoch",
             "wall_s": wall,
@@ -205,7 +197,6 @@ class TelemetryRecorder:
             "per_rank_wall_s": info.per_rank_wall,
             "per_rank_barrier_wait_s": info.per_rank_barrier_wait,
         })
-        self._last_wall = wall
 
     # ------------------------------------------------------------------
     # finalize

@@ -4,7 +4,7 @@ The load-bearing contracts:
 
 * capture is **opt-in** — an untraced run never compiles the
   instrumented dispatcher and never writes a shard, and a closed tracer
-  leaves the engine (and the event-record pool) exactly as it found it;
+  leaves the engine (queue and dispatcher) exactly as it found it;
 * node ids ``(rank, seq)`` ride the determinism contract, so the
   critical path reported from the per-rank shards is **identical across
   execution backends** — including processes, where causality has to be
@@ -185,10 +185,20 @@ class TestCrossBackendIdentity:
         graph = load_causal(traced_parallel_run(tmp_path, "serial"))
         assert graph.ranks == [0, 1]
         assert graph.recvs and graph.sends
+        # Setup-time sends happen before the rank tracers attach, so
+        # they have no send row; they hold each rank's lowest send_seqs.
+        first_traced = {}
+        for src, send_seq in graph.sends:
+            first_traced[src] = min(send_seq, first_traced.get(src, send_seq))
+        joined = 0
         for (rank, _seq), (link_id, send_seq) in graph.recvs.items():
             link = graph.links[link_id]
             src = link["rank_b"] if rank == link["rank_a"] else link["rank_a"]
-            assert (src, send_seq) in graph.sends
+            if (src, send_seq) in graph.sends:
+                joined += 1
+            else:
+                assert send_seq < first_traced[src]
+        assert joined > 0
 
 
 class TestAnalyzerErrors:

@@ -84,10 +84,11 @@ def mixed_graph() -> ConfigGraph:
     return graph
 
 
-def run_parallel_traced(backend: str):
+def run_parallel_traced(backend: str, clock_arbiter: bool = True):
     """One 2-rank run; returns (per-rank traces, stats, result tuple)."""
     psim = build_parallel(mixed_graph(), 2, strategy="round_robin",
-                          seed=7, backend=backend)
+                          seed=7, backend=backend,
+                          clock_arbiter=clock_arbiter)
     traces = []
     for rank in range(psim.num_ranks):
         sim = psim.rank_sim(rank)
@@ -136,16 +137,14 @@ class TestBackendDeterminism:
 
 
 class TestArbiterAblationEquivalence:
-    def test_sequential_observables_identical(self, monkeypatch):
+    def test_sequential_observables_identical(self):
         """Arbiter on vs off: same stats, end time, executed-event count
         and ordered non-tick event stream.  Raw (seq) values differ by
         design — the arbiter collapses N tick records into one — so the
         comparison filters the internal tick bookkeeping."""
 
         def run(arbiter_on: bool):
-            monkeypatch.setenv("REPRO_CLOCK_ARBITER",
-                               "1" if arbiter_on else "0")
-            sim = build(mixed_graph(), seed=7)
+            sim = build(mixed_graph(), seed=7, clock_arbiter=arbiter_on)
             sim._queue = RecordingQueue(sim._queue, [])
             result = sim.run()
             ticks = ("_ClockTickEvent", "_ArbiterTickEvent")
@@ -160,20 +159,18 @@ class TestArbiterAblationEquivalence:
         assert on == off
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_parallel_stats_match_arbiter_off(self, backend, monkeypatch):
+    def test_parallel_stats_match_arbiter_off(self, backend):
         """Every backend lands on the pre-arbiter stats."""
-        monkeypatch.setenv("REPRO_CLOCK_ARBITER", "0")
-        baseline = run_parallel_traced(backend)[1]
-        monkeypatch.setenv("REPRO_CLOCK_ARBITER", "1")
+        baseline = run_parallel_traced(backend, clock_arbiter=False)[1]
         assert run_parallel_traced(backend)[1] == baseline
 
 
 class TestCheckpointResumeBitIdentity:
     """PR 5 acceptance: checkpoint/resume is bit-identical, not merely
-    stats-equivalent.  The queue seq counter and the bare/instrumented
-    dispatch modes are part of the snapshot, so the resumed engine pops
-    the exact (time, priority, seq) triples the uninterrupted engine
-    would have popped."""
+    stats-equivalent.  The queued records and the queue's seq counter
+    are part of the snapshot, so the resumed engine pops the exact
+    (time, priority, seq) triples the uninterrupted engine would have
+    popped."""
 
     def _sequential_reference(self):
         sim = build(mixed_graph(), seed=7)

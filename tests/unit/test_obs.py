@@ -48,7 +48,7 @@ class TestObserverDispatch:
         assert len(seen) == result.events_executed
         assert seen == sorted(seen)
 
-    def test_multiple_observers_coexist_with_legacy_trace(self, make_pingpong):
+    def test_multiple_trace_observers_coexist(self, make_pingpong):
         sim = Simulation(seed=1)
         make_pingpong(sim, n=3)
         a, b = [], []
@@ -79,7 +79,7 @@ class TestObserverDispatch:
         assert len(seen) == executed - attached_at[0]
         assert min(seen) >= 15_000
 
-    def test_remove_observer_restores_bare_path(self):
+    def test_remove_last_observer_clears_dispatcher(self):
         sim = Simulation()
         fn = lambda t, h, e: None
         sim.add_trace_observer(fn)

@@ -1,25 +1,29 @@
 """Tests for rank-local telemetry: per-rank streams, cross-rank trace
 merge, and sync/load-imbalance diagnostics.
 
-The load-bearing property: observability output is equivalent across
-all three execution backends.  The processes backend cannot share
-memory with the parent, so its coverage flows through the rank plan
-(per-rank JSONL shards or pipe batches, harvested profile buckets) —
-these tests pin that the numbers coming back match what the in-process
-backends record directly.
+The load-bearing property: observability output is the same on every
+execution backend.  Both backends build one rank recorder per rank from
+the rank plan (in-process on serial, inside each forked worker on
+processes) — these tests pin that the shards, records, spans and
+profiles coming back agree.
 """
 
 import json
+import os
+import threading
 import warnings as _warnings
 
 import pytest
 
 from repro.config import ConfigGraph, build_parallel, save
-from repro.core import Component, register
+from repro.core import Component, ParallelSimulation, Params, register
 from repro.core.backends import BACKENDS, RankObservabilityWarning
-from repro.obs import (ChromeTraceExporter, HandlerProfiler,
+from repro.obs import (CausalCapture, ChromeTraceExporter, HandlerProfiler,
                        TelemetryRecorder, analyze)
+from repro.obs.critpath import load_causal
+from repro.obs.live import LiveMetrics
 from repro.obs.merge import RunArtifacts, find_rank_shards, merge_trace
+from tests.conftest import PingPong
 
 ALL_BACKENDS = sorted(BACKENDS)
 
@@ -131,14 +135,11 @@ class TestBackendEquivalence:
                                           name=f"hb-{backend}.jsonl",
                                           sample_every=10)
             artifacts = RunArtifacts(metrics)
-            if backend == "processes":
-                samples = [r for records in artifacts.rank_records.values()
-                           for r in records if r["kind"] == "rank_sample"]
-                assert samples, "workers should heartbeat into their shards"
-                assert {s["rank"] for s in samples} == {0, 1}
-            else:
-                # in-process backends keep the parent's epoch telemetry
-                assert artifacts.epochs
+            samples = [r for records in artifacts.rank_records.values()
+                       for r in records if r["kind"] == "rank_sample"]
+            assert samples, f"{backend}: ranks should heartbeat into shards"
+            assert {s["rank"] for s in samples} == {0, 1}, backend
+            assert artifacts.epochs, backend
 
     def test_pipe_batches_reach_inmemory_recorder(self):
         """Shard-less mode: a sink-less TelemetryRecorder still receives
@@ -169,6 +170,152 @@ class TestBackendEquivalence:
             assert sum(row.count for row in rows) == \
                 extras["result"].events_executed, backend
         assert counts["serial"] == counts["processes"]
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+class TestOneRankPath:
+    """Telemetry, a sampling profiler and a Chrome exporter attached to a
+    2-rank run give the same output on every backend, with a metrics
+    path (rank shards) and without one (records sent to the parent)."""
+
+    STRIDE = 4
+
+    def _run(self, backend, metrics):
+        psim = build_parallel(traffic_graph(), 2, strategy="round_robin",
+                              seed=9, backend=backend)
+        telemetry = TelemetryRecorder(metrics, sample_every_events=10)
+        telemetry.attach(psim)
+        profiler = HandlerProfiler(psim, sample_every=self.STRIDE)
+        exporter = ChromeTraceExporter().attach(psim)
+        result = psim.run()
+        telemetry.finalize(result)
+        exporter.detach()
+        profiler.detach()
+        self._check_spans_and_profile(result, exporter, profiler)
+        return result, telemetry
+
+    def _check_spans_and_profile(self, result, exporter, profiler):
+        handler_spans = [e for e in exporter.events
+                         if e["ph"] == "X" and e["cat"] != "epoch"]
+        assert len(handler_spans) == result.events_executed
+        assert exporter.dropped_events == 0
+        assert {e["pid"] for e in handler_spans} == {0, 1}
+        assert sum(row.count for row in profiler.rows()) == \
+            result.events_executed
+        for rank, events in enumerate(result.per_rank_events):
+            timed = sum(bucket[1] for key, bucket in profiler._buckets.items()
+                        if key[0] == rank)
+            assert timed == events // self.STRIDE, rank
+
+    def test_with_metrics_path_every_rank_writes_a_shard(self, tmp_path,
+                                                        backend):
+        metrics = tmp_path / "m.jsonl"
+        result, _ = self._run(backend, metrics)
+        shards = find_rank_shards(metrics)
+        assert sorted(shards) == [0, 1]
+        total = 0
+        for rank, shard in shards.items():
+            records = [json.loads(line)
+                       for line in shard.read_text().splitlines()]
+            assert records[0]["kind"] == "rank_start"
+            assert records[0]["backend"] == backend
+            assert records[-1]["kind"] == "rank_end"
+            assert all(r["rank"] == rank for r in records)
+            total += sum(r["events"] for r in records
+                         if r["kind"] == "rank_epoch")
+        assert total == result.events_executed
+
+    def test_without_metrics_path_records_reach_the_recorder(self,
+                                                              backend):
+        _, telemetry = self._run(backend, None)
+        epoch_ranks = {r["rank"] for r in telemetry.records
+                       if r["kind"] == "rank_epoch"}
+        assert epoch_ranks == {0, 1}
+
+
+class _Exploder(Component):
+    """Raises from a handler 100 ns into the run."""
+
+    def setup(self):
+        self.schedule(100_000, self._boom)
+
+    def _boom(self, _payload):
+        raise RuntimeError("model bug")
+
+
+def _open_paths():
+    """Paths of the files this process holds open."""
+    fd_dir = "/proc/self/fd"
+    paths = set()
+    for fd in os.listdir(fd_dir):
+        try:
+            paths.add(os.readlink(os.path.join(fd_dir, fd)))
+        except OSError:
+            continue
+    return paths
+
+
+class TestSerialRankShards:
+    def test_second_run_appends_to_the_shards(self, tmp_path):
+        psim = build_parallel(traffic_graph(), 2, strategy="round_robin",
+                              seed=9, backend="serial")
+        metrics = tmp_path / "m.jsonl"
+        telemetry = TelemetryRecorder(metrics).attach(psim)
+        capture = CausalCapture(metrics).attach(psim)
+        first = psim.run(max_time="100ns")
+        assert first.reason == "max_time"
+        second = psim.run()
+        telemetry.finalize(second)
+        capture.close()
+        # one causal shard set spans both runs of the capture
+        assert len(load_causal(metrics).nodes) == \
+            first.events_executed + second.events_executed
+        total = 0
+        for shard in find_rank_shards(metrics).values():
+            records = [json.loads(line)
+                       for line in shard.read_text().splitlines()]
+            kinds = [r["kind"] for r in records]
+            assert kinds.count("rank_start") == kinds.count("rank_end") == 2
+            assert kinds[0] == "rank_start" and kinds[-1] == "rank_end"
+            total += sum(r["events"] for r in records
+                         if r["kind"] == "rank_epoch")
+        assert first.events_executed > 0
+        assert total == first.events_executed + second.events_executed
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_handler_error_closes_shards_and_stops_samplers(self, tmp_path):
+        psim = ParallelSimulation(2, seed=1)
+        ping = PingPong(psim.rank_sim(0), "ping",
+                        Params({"initiator": True, "n_round_trips": 10**6}))
+        pong = PingPong(psim.rank_sim(1), "pong", Params({}))
+        psim.connect(ping, "io", pong, "io", latency="5ns")
+        _Exploder(psim.rank_sim(1), "x")
+        metrics = tmp_path / "m.jsonl"
+        with TelemetryRecorder(metrics) as telemetry, \
+                HandlerProfiler(psim), ChromeTraceExporter() as exporter, \
+                LiveMetrics(tmp_path / "m.live", interval_s=0.05) as live:
+            telemetry.attach(psim)
+            exporter.attach(psim)
+            live.attach(psim)
+            with pytest.raises(RuntimeError, match="model bug"):
+                psim.run()
+            shards = find_rank_shards(metrics)
+            rank_shards_open = ({str(path) for path in shards.values()}
+                                & _open_paths())
+            samplers = [t for t in threading.enumerate()
+                        if t.name == "repro-live-sampler"]
+        assert not rank_shards_open
+        assert not samplers
+        assert sorted(shards) == [0, 1]
+        for rank in range(2):
+            sim = psim.rank_sim(rank)
+            assert sim._instr is None
+            assert sim._live_publisher is None
+            kinds = [json.loads(line)["kind"]
+                     for line in shards[rank].read_text().splitlines()]
+            # the failed run's sections stop short of rank_end
+            assert kinds[0] == "rank_start" and "rank_end" not in kinds
 
 
 class TestObservabilityWarning:
@@ -469,12 +616,10 @@ class TestImbalanceArbiterAblation:
         graph.link("ping", "io", "pong", "io", latency="7ns")
         return graph
 
-    def _critical_rank(self, tmp_path, arbiter_on, monkeypatch):
-        monkeypatch.setenv("REPRO_CLOCK_ARBITER",
-                           "1" if arbiter_on else "0")
+    def _critical_rank(self, tmp_path, arbiter_on):
         psim = build_parallel(self._skewed_graph(), 2,
                               strategy="round_robin", seed=3,
-                              backend="serial")
+                              backend="serial", clock_arbiter=arbiter_on)
         metrics = tmp_path / f"arb-{int(arbiter_on)}.jsonl"
         telemetry = TelemetryRecorder(metrics)
         telemetry.attach(psim)
@@ -486,8 +631,7 @@ class TestImbalanceArbiterAblation:
         assert critical is not None
         return critical.rank
 
-    def test_same_straggler_with_and_without_arbiter(self, tmp_path,
-                                                     monkeypatch):
-        with_arbiter = self._critical_rank(tmp_path, True, monkeypatch)
-        without = self._critical_rank(tmp_path, False, monkeypatch)
+    def test_same_straggler_with_and_without_arbiter(self, tmp_path):
+        with_arbiter = self._critical_rank(tmp_path, True)
+        without = self._critical_rank(tmp_path, False)
         assert with_arbiter == without == 0
